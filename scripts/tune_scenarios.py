@@ -1,17 +1,18 @@
 """Grid-search helper used to pick the shipped scenario parameters.
 
-For each candidate parameter set this script runs the full
-simulate -> count -> profile -> cluster -> score loop over a seed range
-and reports every margin the acceptance gate checks:
+For each candidate parameter set this script runs the library's study
+loop (motifroles.evaluation.evaluate_run: simulate -> count -> profile ->
+cluster -> score) over a seed range and reports every margin the
+acceptance gate checks:
 
     acc_pos / acc_nopos   mean 2-cluster accuracy, positioned vs positionless
     gap                   acc_pos - acc_nopos
     2node_min / 2node_mean  per-run minimum / mean over both positioned
                           centroids of their mass on the M5,1 M5,2 M6,1
                           M6,2 columns (scenario 1 target: >= 0.60)
-    split_ok              fraction of runs where one centroid leans
-                          position 1 and the other position 2 on the
-                          reciprocation columns M5,1 M5,2 M6,2
+    split                 fraction of runs where the centroids do not all
+                          lean the same way, position 1 against position
+                          2, on the reply columns M5,1 M5,2 M6,2
     events                mean simulated event count
 
 Usage: python scripts/tune_scenarios.py [--seeds N] [--scenario 1|2]
@@ -24,69 +25,23 @@ import time
 
 import numpy as np
 
-from motifroles.catalog import CSV_COLUMNS, LIVE_FLAT
-from motifroles.cluster import centroids, cut, permutation_accuracy, ward_linkage
-from motifroles.counting import count_motifs
-from motifroles.hawkes import BlockHawkesParams, Excitation, simulate
-from motifroles.profiles import build_positioned, build_positionless
-
-LIVE_NAMES = [CSV_COLUMNS[i] for i in LIVE_FLAT]
-TWO_NODE_COLS = np.array(
-    [i for i, name in enumerate(LIVE_NAMES)
-     if name.startswith(("M51_", "M52_", "M61_", "M62_"))]
-)
-RECIP_P1 = np.array(
-    [i for i, name in enumerate(LIVE_NAMES)
-     if name in ("M51_p1", "M52_p1", "M62_p1")]
-)
-RECIP_P2 = np.array(
-    [i for i, name in enumerate(LIVE_NAMES)
-     if name in ("M51_p2", "M52_p2", "M62_p2")]
-)
-
-
-def score_run(params: BlockHawkesParams, delta: float, seed: int,
-              min_motifs: int = 10) -> dict:
-    net = simulate(params, seed)
-    counts = count_motifs(net.graph, delta)
-    pos = build_positioned(counts, min_motifs=min_motifs)
-    nopos = build_positionless(counts, min_motifs=min_motifs)
-    out = {"events": net.graph.n_edges, "profiled": pos.n_profiled}
-    truth = {name: int(b) for name, b in zip(net.graph.node_names, net.labels)}
-    for key, prof in (("pos", pos), ("nopos", nopos)):
-        if prof.n_profiled < 2:
-            out[f"acc_{key}"] = 0.0
-            continue
-        dendro = ward_linkage(prof)
-        clustering = cut(dendro, 2)
-        ref = np.array([truth[name] for name in prof.node_names])
-        out[f"acc_{key}"] = permutation_accuracy(clustering.labels, ref)
-        if key == "pos":
-            cents = centroids(prof, clustering)
-            two_node = cents[:, TWO_NODE_COLS].sum(axis=1) / cents.sum(axis=1)
-            out["two_node_min"] = float(two_node.min())
-            p1 = cents[:, RECIP_P1].sum(axis=1)
-            p2 = cents[:, RECIP_P2].sum(axis=1)
-            # one centroid leaning to position 1, the other to position 2
-            lean = np.sign(p1 - p2)
-            out["split_ok"] = bool(lean[0] * lean[1] < 0)
-    return out
+from motifroles.evaluation import evaluate_run
+from motifroles.hawkes import BlockHawkesParams, Excitation
 
 
 def score_candidate(name: str, params: BlockHawkesParams, delta: float,
                     seeds: range) -> None:
     t0 = time.time()
-    rows = [score_run(params, delta, s) for s in seeds]
-    acc_pos = np.mean([r["acc_pos"] for r in rows])
-    acc_nopos = np.mean([r["acc_nopos"] for r in rows])
-    two_min = min(r.get("two_node_min", 0.0) for r in rows)
-    two_mean = np.mean([r.get("two_node_min", 0.0) for r in rows])
-    split = np.mean([r.get("split_ok", False) for r in rows])
-    events = np.mean([r["events"] for r in rows])
+    runs = [evaluate_run(params, delta, s, k=2, min_motifs=10) for s in seeds]
+    acc_pos = np.mean([r.accuracy_positioned for r in runs])
+    acc_nopos = np.mean([r.accuracy_positionless for r in runs])
+    two_node = [min(r.two_node_mass) for r in runs]
+    split = np.mean([r.split_ok for r in runs])
+    events = np.mean([r.n_events for r in runs])
     took = time.time() - t0
     print(f"{name:28s} acc_pos={acc_pos:.3f} acc_nopos={acc_nopos:.3f} "
-          f"gap={acc_pos - acc_nopos:+.3f} 2node_min={two_min:.3f} "
-          f"2node_mean={two_mean:.3f} split={split:.2f} "
+          f"gap={acc_pos - acc_nopos:+.3f} 2node_min={min(two_node):.3f} "
+          f"2node_mean={np.mean(two_node):.3f} split={split:.2f} "
           f"events={events:6.0f} ({took:.1f}s)")
 
 

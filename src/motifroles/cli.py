@@ -12,9 +12,8 @@ import argparse
 import hashlib
 import json
 import sys
+import urllib.parse
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, catalog
 from .cluster import (
@@ -25,7 +24,7 @@ from .cluster import (
     ward_linkage,
     write_labels_csv,
 )
-from .counting import TIE_POLICIES, count_motifs, read_count_csv
+from .counting import _check_delta, count_motifs, read_count_csv
 from .evaluation import evaluate_scenario
 from .graph import aggregate_static, filter_nodes, largest_scc, parse_edge_list, write_edge_list
 from .hawkes import (
@@ -33,7 +32,6 @@ from .hawkes import (
     scenario_delta,
     scenario_params,
     simulate,
-    write_labels_csv as write_block_labels_csv,
     write_params,
 )
 from .profiles import build_positioned, build_positionless, read_profile_csv
@@ -75,14 +73,8 @@ def _prepare_out(raw: str) -> Path:
     return out
 
 
-def _positive_delta(value: float) -> float:
-    if value is None or not np.isfinite(value) or value <= 0:
-        raise ValueError(f"--delta must be a positive finite number, got {value}")
-    return float(value)
-
-
 def _cmd_count(args) -> None:
-    delta = _positive_delta(args.delta)
+    delta = _check_delta(args.delta)
     tie_policy = _TIE_FLAG[args.ties]
     out = _prepare_out(args.out)
     graph = parse_edge_list(args.input)
@@ -182,7 +174,7 @@ def _cmd_render(args) -> None:
             raise ValueError(f"node {name!r} is not in the profile file")
         row = prof.node_names.index(name)
         svg = heatmap_svg(prof.vectors[row], prof.kind, f"node {name} ({prof.kind})")
-        fname = f"node_{name}.svg"
+        fname = f"node_{urllib.parse.quote(name, safe='')}.svg"
         (out / fname).write_text(svg, encoding="utf-8")
         wrote.append(fname)
     if not wrote:
@@ -212,7 +204,7 @@ def _cmd_simulate(args) -> None:
         write_params(params, args.emit_params)
     net = simulate(params, args.seed)
     write_edge_list(net.graph, out / "edges.csv")
-    write_block_labels_csv(net, out / "labels.csv")
+    write_labels_csv(net.graph.node_names, net.labels, out / "labels.csv", "block")
     config = {
         "source": source,
         "seed": args.seed,
@@ -226,7 +218,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_eval(args) -> None:
     delta = (
-        _positive_delta(args.delta)
+        _check_delta(args.delta)
         if args.delta is not None
         else (scenario_delta(args.scenario) if args.scenario is not None else None)
     )
@@ -346,7 +338,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, AssertionError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

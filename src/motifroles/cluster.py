@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-_HEIGHT_SLACK = 1e-9  # relative tolerance for the monotonicity assertion
+_HEIGHT_SLACK = 1e-9  # relative tolerance for the monotonicity check
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,8 @@ def ward_linkage(profiles) -> Dendrogram:
         best = int(np.argmin(vals))  # first minimum = smallest (left, right)
         left, right = int(act[iu[best]]), int(act[ju[best]])
         height = float(vals[best])
-        assert height >= last_height - _HEIGHT_SLACK * max(1.0, abs(last_height)), (
-            "ward merge heights must be non-decreasing"
-        )
+        if not height >= last_height - _HEIGHT_SLACK * max(1.0, abs(last_height)):
+            raise RuntimeError("ward merge heights must be non-decreasing")
         last_height = max(last_height, height)
         new = n + step
         si, sj = sizes[left], sizes[right]

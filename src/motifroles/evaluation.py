@@ -10,19 +10,35 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import cut, permutation_accuracy, ward_linkage
+from .catalog import CELL_MOTIF_INDEX, POSITIONED_CELL_NAMES, TWO_NODE_MOTIFS
+from .cluster import centroids, cut, permutation_accuracy, ward_linkage
 from .counting import count_motifs
 from .hawkes import BlockHawkesParams, simulate
 from .profiles import build_positioned, build_positionless
 
+# Positioned profile cells of the two-node motifs M5,1 M5,2 M6,1 M6,2, and
+# the reply cells whose position-1 and position-2 halves tell the sender
+# and the replier of a reciprocated exchange apart.
+TWO_NODE_CELLS = np.flatnonzero(
+    np.isin(CELL_MOTIF_INDEX, [m.index for m in TWO_NODE_MOTIFS])
+)
+REPLY_P1 = np.array([POSITIONED_CELL_NAMES.index(c) for c in ("M51_p1", "M52_p1", "M62_p1")])
+REPLY_P2 = np.array([POSITIONED_CELL_NAMES.index(c) for c in ("M51_p2", "M52_p2", "M62_p2")])
+
 
 @dataclass(frozen=True)
 class RunResult:
+    """One scored run. two_node_mass holds each positioned centroid's mass
+    on the two-node cells; split_ok is true when the centroids do not all
+    lean the same way on the position-1 reply cells against position 2."""
+
     seed: int
     n_events: int
     n_profiled: int
     accuracy_positioned: float
     accuracy_positionless: float
+    two_node_mass: tuple[float, ...]
+    split_ok: bool
 
 
 @dataclass(frozen=True)
@@ -60,7 +76,15 @@ class EvalSummary:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
-            ["seed", "events", "profiled", "accuracy_positioned", "accuracy_positionless"]
+            [
+                "seed",
+                "events",
+                "profiled",
+                "accuracy_positioned",
+                "accuracy_positionless",
+                "two_node_mass_min",
+                "position_split",
+            ]
         )
         for r in self.runs:
             writer.writerow(
@@ -70,6 +94,8 @@ class EvalSummary:
                     r.n_profiled,
                     repr(r.accuracy_positioned),
                     repr(r.accuracy_positionless),
+                    repr(min(r.two_node_mass)),
+                    int(r.split_ok),
                 ]
             )
         return buf.getvalue()
@@ -85,15 +111,16 @@ def evaluate_run(
     k: int = 2,
     min_motifs: int = 0,
 ) -> RunResult:
-    """Simulate one network and score block recovery for both profile kinds."""
+    """Simulate one network, score block recovery for both profile kinds
+    and measure the positioned centroids."""
     net = simulate(params, seed)
     counts = count_motifs(net.graph, delta)
     name_to_index = {name: i for i, name in enumerate(net.graph.node_names)}
     results = {}
-    profiled = 0
+    # positioned runs last: its profiles and clustering feed the centroids
     for kind, builder in (
-        ("positioned", build_positioned),
         ("positionless", build_positionless),
+        ("positioned", build_positioned),
     ):
         prof = builder(counts, min_motifs=min_motifs)
         if prof.n_profiled < 2:
@@ -104,13 +131,16 @@ def evaluate_run(
         truth = net.labels[[name_to_index[nm] for nm in prof.node_names]]
         clustering = cut(ward_linkage(prof), k)
         results[kind] = permutation_accuracy(clustering, truth)
-        profiled = prof.n_profiled
+    means = centroids(prof, clustering)
+    leans_p1 = {bool(m[REPLY_P1].sum() > m[REPLY_P2].sum()) for m in means}
     return RunResult(
         seed=seed,
         n_events=net.graph.n_edges,
-        n_profiled=profiled,
+        n_profiled=prof.n_profiled,
         accuracy_positioned=results["positioned"],
         accuracy_positionless=results["positionless"],
+        two_node_mass=tuple(float(m[TWO_NODE_CELLS].sum()) for m in means),
+        split_ok=len(leans_p1) > 1,
     )
 
 

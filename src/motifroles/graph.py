@@ -9,6 +9,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 EDGE_LIST_HEADER = ("source", "target", "timestamp")
 
@@ -232,54 +234,19 @@ def aggregate_static(g: TemporalGraph) -> StaticDigraph:
 
 
 def strongly_connected_components(s: StaticDigraph) -> list[list[int]]:
-    """All SCCs via iterative Tarjan; singletons included."""
+    """All SCCs, singletons included; each sorted, listed by smallest member."""
     n = s.n_nodes
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(s.arcs):
-        adj[u].append(v)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
+    if n == 0:
+        return []
+    arcs = np.array(list(s.arcs), dtype=np.int64).reshape(-1, 2)
+    adjacency = csr_matrix(
+        (np.ones(len(arcs), dtype=np.int8), (arcs[:, 0], arcs[:, 1])), shape=(n, n)
+    )
+    _, labels = connected_components(adjacency, directed=True, connection="strong")
+    comps: dict[int, list[int]] = {}
+    for node, label in enumerate(labels.tolist()):
+        comps.setdefault(label, []).append(node)
+    return list(comps.values())
 
 
 def largest_scc(s: StaticDigraph) -> frozenset[int]:
@@ -287,8 +254,8 @@ def largest_scc(s: StaticDigraph) -> frozenset[int]:
     comps = strongly_connected_components(s)
     if not comps:
         return frozenset()
-    best = max(comps, key=lambda c: (len(c), -min(c)))
-    return frozenset(best)
+    # max keeps the first of equal sizes, and comps run by smallest member
+    return frozenset(max(comps, key=len))
 
 
 def filter_nodes(g: TemporalGraph, keep: Iterable[int]) -> TemporalGraph:
@@ -298,21 +265,22 @@ def filter_nodes(g: TemporalGraph, keep: Iterable[int]) -> TemporalGraph:
     endpoints; names re-intern in order of first appearance in the
     retained edge sequence. seq values carry over, preserving tie order.
     """
-    keep_set = {int(k) for k in keep}
-    for k in keep_set:
-        if not (0 <= k < g.n_nodes):
-            raise ValueError(f"keep contains unknown node index {k}")
-    names: dict[str, int] = {}
-    src, tgt, time, seq = [], [], [], []
-    for i in range(g.n_edges):
-        u, v = int(g.src[i]), int(g.tgt[i])
-        if u not in keep_set or v not in keep_set:
-            continue
-        for name in (g.node_names[u], g.node_names[v]):
-            if name not in names:
-                names[name] = len(names)
-        src.append(names[g.node_names[u]])
-        tgt.append(names[g.node_names[v]])
-        time.append(float(g.time[i]))
-        seq.append(int(g.seq[i]))
-    return TemporalGraph(tuple(names), src, tgt, time, seq)
+    keep_idx = np.fromiter((int(k) for k in keep), dtype=np.int64)
+    bad = keep_idx[(keep_idx < 0) | (keep_idx >= g.n_nodes)]
+    if bad.size:
+        raise ValueError(f"keep contains unknown node index {int(bad[0])}")
+    kept = np.zeros(g.n_nodes, dtype=bool)
+    kept[keep_idx] = True
+    edges = kept[g.src] & kept[g.tgt]
+    src, tgt = g.src[edges], g.tgt[edges]
+    ends, first = np.unique(np.column_stack((src, tgt)).ravel(), return_index=True)
+    order = ends[np.argsort(first)]  # old indices by first appearance
+    renumber = np.empty(g.n_nodes, dtype=np.int64)
+    renumber[order] = np.arange(order.size)
+    return TemporalGraph(
+        [g.node_names[i] for i in order],
+        renumber[src],
+        renumber[tgt],
+        g.time[edges],
+        g.seq[edges],
+    )

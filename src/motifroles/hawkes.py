@@ -243,7 +243,7 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
 
     Blocks are drawn first (unless fixed in params), then events. The
     upper bound is refreshed after every accepted or rejected candidate;
-    validity of the bound is asserted at each candidate.
+    validity of the bound is checked at each candidate.
     """
     params.validate()
     rng = np.random.default_rng(np.random.PCG64(seed))
@@ -286,7 +286,8 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
         for e, s in zip(entries, states):
             s *= np.exp(-e.beta * dt)
         lam = mu_sum + total_excitation()
-        assert lam <= bound * (1.0 + 1e-9), "thinning bound violated"
+        if not lam <= bound * (1.0 + 1e-9):
+            raise RuntimeError("thinning bound violated")
         accept = rng.random()
         if accept * bound <= lam:
             rates = mu.copy()
@@ -390,10 +391,3 @@ def scenario_delta(which: int) -> float:
     if which not in SCENARIO_DELTAS:
         raise ValueError(f"unknown scenario {which!r}; defined scenarios are 1 and 2")
     return SCENARIO_DELTAS[which]
-
-
-def write_labels_csv(net: SimulatedNetwork, path) -> None:
-    lines = ["node,block"]
-    for name, block in zip(net.graph.node_names, net.labels):
-        lines.append(f"{name},{int(block)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

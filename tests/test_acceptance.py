@@ -6,21 +6,15 @@ import hashlib
 import json
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from motifroles.catalog import POSITIONED_CELL_NAMES
 from motifroles.cli import main
-from motifroles.cluster import (
-    centroids,
-    cut,
-    permutation_accuracy,
-    ward_linkage,
-)
+from motifroles.cluster import permutation_accuracy, ward_linkage
 from motifroles.counting import brute_force_count, count_motifs
+from motifroles.evaluation import evaluate_scenario
 from motifroles.graph import TemporalGraph, write_edge_list
 from motifroles.hawkes import (
     BlockHawkesParams,
@@ -33,74 +27,23 @@ from conftest import TOY_DELTA, toy_expected_counts
 from synthdata import mid_scale_network, random_temporal_graph
 from test_cluster import ward_oracle
 
-TWO_NODE_COLS = np.array(
-    [i for i, name in enumerate(POSITIONED_CELL_NAMES)
-     if name[:3] in ("M51", "M52", "M61", "M62")]
-)
-REPLY_P1 = np.array([POSITIONED_CELL_NAMES.index(c)
-                     for c in ("M51_p1", "M52_p1", "M62_p1")])
-REPLY_P2 = np.array([POSITIONED_CELL_NAMES.index(c)
-                     for c in ("M51_p2", "M52_p2", "M62_p2")])
 
-
-@dataclass
-class StudyRun:
-    seed: int
-    acc_pos: float
-    acc_nopos: float
-    two_node_mass: tuple[float, float]
-    split_ok: bool
-
-
-@dataclass
-class Study:
-    runs: list
-    elapsed: float
-
-    def mean(self, attr: str) -> float:
-        return float(np.mean([getattr(r, attr) for r in self.runs]))
-
-
-def _run_study(which: int, seeds) -> Study:
-    params = scenario_params(which)
-    delta = SCENARIO_DELTAS[which]
-    runs = []
+def _study(which: int):
+    """The library's 100-seed study of one scenario, and its wall time."""
     t0 = time.perf_counter()
-    for seed in seeds:
-        net = simulate(params, seed)
-        counts = count_motifs(net.graph, delta)
-        accs = {}
-        clustering = prof = None
-        for key, build in (("pos", build_positioned),
-                           ("nopos", build_positionless)):
-            p = build(counts, min_motifs=10)
-            truth = net.labels[[int(nm) for nm in p.node_names]]
-            c = cut(ward_linkage(p), 2)
-            accs[key] = permutation_accuracy(c, truth)
-            if key == "pos":
-                clustering, prof = c, p
-        means = centroids(prof, clustering)
-        mass = tuple(float(m[TWO_NODE_COLS].sum()) for m in means)
-        p1_type = [float(m[REPLY_P1].sum()) > float(m[REPLY_P2].sum())
-                   for m in means]
-        runs.append(StudyRun(
-            seed=seed,
-            acc_pos=accs["pos"],
-            acc_nopos=accs["nopos"],
-            two_node_mass=mass,
-            split_ok=p1_type[0] != p1_type[1],
-        ))
-    return Study(runs=runs, elapsed=time.perf_counter() - t0)
+    summary = evaluate_scenario(scenario_params(which), SCENARIO_DELTAS[which],
+                                range(100), k=2, min_motifs=10)
+    return summary, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def scenario1_study():
-    return _run_study(1, range(100))
+    return _study(1)
 
 
 @pytest.fixture(scope="module")
 def scenario2_study():
-    return _run_study(2, range(100))
+    return _study(2)
 
 
 def test_criterion_1_toy_network_golden_counts_and_profiles(toy_graph):
@@ -148,10 +91,11 @@ def test_criterion_2_windowed_counter_matches_oracle_on_200_graphs():
 
 
 def test_criterion_3_block_recovery_margins(scenario1_study, scenario2_study):
-    s1_pos = scenario1_study.mean("acc_pos")
-    s1_nopos = scenario1_study.mean("acc_nopos")
-    s2_pos = scenario2_study.mean("acc_pos")
-    s2_nopos = scenario2_study.mean("acc_nopos")
+    (s1, s1_elapsed), (s2, s2_elapsed) = scenario1_study, scenario2_study
+    s1_pos = s1.mean_accuracy("positioned")
+    s1_nopos = s1.mean_accuracy("positionless")
+    s2_pos = s2.mean_accuracy("positioned")
+    s2_nopos = s2.mean_accuracy("positionless")
     assert s1_pos >= 0.80, f"scenario 1 positioned mean {s1_pos:.3f} < 0.80"
     assert s1_pos - s1_nopos >= 0.15, (
         f"scenario 1 margin {s1_pos - s1_nopos:.3f} < 0.15"
@@ -160,7 +104,7 @@ def test_criterion_3_block_recovery_margins(scenario1_study, scenario2_study):
     assert s2_pos - s2_nopos >= 0.10, (
         f"scenario 2 margin {s2_pos - s2_nopos:.3f} < 0.10"
     )
-    total = scenario1_study.elapsed + scenario2_study.elapsed
+    total = s1_elapsed + s2_elapsed
     assert total < 600.0
     print(f"[criterion 3] PASS: scenario 1 {s1_pos:.3f} vs {s1_nopos:.3f}, "
           f"scenario 2 {s2_pos:.3f} vs {s2_nopos:.3f}, "
@@ -169,7 +113,8 @@ def test_criterion_3_block_recovery_margins(scenario1_study, scenario2_study):
 
 def test_criterion_4_scenario_1_centroid_structure(scenario1_study):
     worst = 1.0
-    for run in scenario1_study.runs:
+    summary, _ = scenario1_study
+    for run in summary.runs:
         lo = min(run.two_node_mass)
         worst = min(worst, lo)
         assert lo >= 0.60, (

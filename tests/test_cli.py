@@ -1,11 +1,14 @@
+import ast
 import hashlib
 import io
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motifroles
 from motifroles.cli import main
 from motifroles.counting import read_count_csv
 from motifroles.graph import parse_edge_list
@@ -111,6 +114,15 @@ def test_render_outputs_valid_svgs(tmp_path, toy_csv):
     for name in expected:
         ET.fromstring((rdir / name).read_text())
     check_manifest(rdir, "render")
+    # a node name holding a path separator still maps to one flat file
+    slash_csv = tmp_path / "slash.csv"
+    slash_csv.write_text(TOY_CSV.replace("A,", "A/B,"))
+    _, pdir2, _ = run_pipeline(tmp_path / "slash", slash_csv, k=3)
+    rdir2 = tmp_path / "r2"
+    assert main(["render", "--profiles", str(pdir2 / "profiles.csv"),
+                 "--node", "A/B", "--out", str(rdir2)]) == 0
+    assert {p.name for p in rdir2.iterdir()} == {"node_A%2FB.svg", "manifest.json"}
+    check_manifest(rdir2, "render")
 
 
 def test_render_node_only(tmp_path, toy_csv):
@@ -158,6 +170,20 @@ def test_delta_zero_is_a_usage_error(tmp_path, toy_csv, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, and main maps only ValueError,
+    # RuntimeError and OSError to exit codes; runtime checks must raise
+    package = Path(motifroles.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_missing_input_is_an_io_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from motifroles.cluster import write_labels_csv
 from motifroles.graph import serialize_edge_list
 from motifroles.hawkes import (
     BlockHawkesParams,
@@ -13,7 +14,6 @@ from motifroles.hawkes import (
     scenario_delta,
     scenario_params,
     simulate,
-    write_labels_csv,
     write_params,
 )
 
@@ -235,7 +235,7 @@ class TestParamsSerialization:
     def test_labels_csv(self, tmp_path):
         net = simulate(scenario_params(1), seed=0)
         path = tmp_path / "labels.csv"
-        write_labels_csv(net, path)
+        write_labels_csv(net.graph.node_names, net.labels, path, "block")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "node,block"
         assert len(lines) == 21
