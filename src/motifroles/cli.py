@@ -92,9 +92,11 @@ def _cmd_count(args) -> None:
         "ties": tie_policy,
         "scc": bool(args.scc),
         "scc_nodes": scc_kept,
+        "candidate_triples": counts.candidates,
     }
     _write_manifest(out, "count", config, {"edges": args.input})
-    print(f"counted {counts.total_instances()} motif instances over "
+    print(f"counted {counts.total_instances()} motif instances "
+          f"({counts.candidates} candidate triples) over "
           f"{graph.n_edges} edges, {graph.n_nodes} nodes (delta={delta:g})")
     print("instances by motif cell (rows 1-6, columns 1-6):")
     grid = counts.motif_totals.reshape(6, 6)
@@ -346,3 +348,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -235,9 +235,17 @@ def permutation_accuracy(pred, truth) -> float:
 def serialize_dendrogram(
     dendrogram: Dendrogram, node_names: Sequence[str]
 ) -> str:
-    """Line-oriented text form: leaf name table then merge records."""
+    """Line-oriented text form: leaf name table then merge records.
+
+    Records are newline-terminated, so a name holding a line feed or a
+    carriage return (which universal-newline reading turns into a line
+    feed) is rejected.
+    """
     if len(node_names) != dendrogram.n_leaves:
         raise ValueError("name count does not match leaf count")
+    for name in node_names:
+        if "\n" in name or "\r" in name:
+            raise ValueError(f"node name {name!r} contains a line break")
     lines = [
         "# dendrogram v1",
         "# linkage: ward (height = within-cluster sum-of-squares increase)",
@@ -258,7 +266,7 @@ def parse_dendrogram(text: str) -> tuple[Dendrogram, tuple[str, ...]]:
     n_leaves = None
     names: dict[int, str] = {}
     merges: list[Merge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

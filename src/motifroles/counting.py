@@ -7,6 +7,14 @@ exhaustively, not maximally or disjointly: an edge may appear in many
 instances. Under the "exclude-ties" policy any triple containing two
 edges with equal timestamps is skipped; the default "seq-order" policy
 keeps them, ordered by input sequence.
+
+count_motifs enumerates by incidence: for each first edge e_i = (u, v)
+it pairs only the edges in e_i's window that touch u or v, taken from a
+time-sorted per-node incidence index. This loses no instance: its
+nodes are u, v and at most one third node w, and no edge is a
+self-loop, so each of its edges joins two distinct nodes of {u, v, w}
+and touches u or v. An edge joining u and v sits in both endpoints'
+lists and is paired once. brute_force_count is the unrestricted oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from .graph import TemporalEdge, TemporalGraph
 TIE_POLICIES = ("seq-order", "exclude-ties")
 
 _CHUNK = 1 << 19  # triples per vectorized classification batch
-_TRIU_CACHE_LIMIT = 512
 
 
 def _check_delta(delta: float) -> float:
@@ -51,6 +58,8 @@ class PositionCountMatrix:
     counts has shape (n_nodes, 36, 3); position 3 of the four two-node
     motifs is structurally zero. delta and tie_policy are None when the
     matrix was loaded from a counts CSV (they travel in the manifest).
+    candidates is the number of edge triples count_motifs classified; it
+    is None for a matrix loaded from CSV or built any other way.
     """
 
     node_names: tuple[str, ...]
@@ -58,6 +67,7 @@ class PositionCountMatrix:
     motif_totals: np.ndarray
     delta: float | None
     tie_policy: str | None
+    candidates: int | None = None
 
     def __post_init__(self):
         if self.counts.shape != (len(self.node_names), catalog.N_MOTIFS, 3):
@@ -215,29 +225,69 @@ def brute_force_count(
 
 
 def _window_ends(time: np.ndarray, delta: float) -> np.ndarray:
-    """w[i] = largest k with time[k] - time[i] <= delta.
+    """ends[i] = largest k with time[k] - time[i] <= delta.
 
-    searchsorted on time[i] + delta gets close; the local fix-up makes the
-    boundary agree exactly with the subtraction predicate used everywhere
-    else (float addition and subtraction can round differently).
+    searchsorted on time[i] + delta gets close; float addition and
+    subtraction can round differently, so each boundary then steps over
+    distinct timestamps until it agrees exactly with the subtraction
+    predicate used everywhere else.
     """
-    m = time.shape[0]
-    w = np.searchsorted(time, time + delta, side="right") - 1
-    for i in range(m):
-        k = int(w[i])
-        while k + 1 < m and time[k + 1] - time[i] <= delta:
-            k += 1
-        while k > i and time[k] - time[i] > delta:
-            k -= 1
-        w[i] = k
-    return w
+    uniq, first = np.unique(time, return_index=True)
+    last = np.append(first[1:], time.shape[0]) - 1
+    b = np.searchsorted(uniq, time + delta, side="right") - 1
+    uniq = np.append(uniq, np.inf)  # sentinel, never inside a window
+    while True:
+        up = uniq[b + 1] - time <= delta
+        down = uniq[b] - time > delta
+        if not (up.any() or down.any()):
+            return last[b]
+        b = b + up - down
 
 
-def _triu_pairs(width: int, cache={}):
-    if width not in cache:
-        jj, kk = np.triu_indices(width, k=1)
-        cache[width] = (jj.astype(np.int64), kk.astype(np.int64))
-    return cache[width]
+def _blocks(weights: np.ndarray):
+    """Consecutive [a, b) index ranges of weight sum <= _CHUNK, or one index."""
+    cum = np.concatenate(([0], np.cumsum(weights)))
+    a = 0
+    while a < weights.shape[0]:
+        b = max(a + 1, int(np.searchsorted(cum, cum[a] + _CHUNK, "right")) - 1)
+        yield a, b
+        a = b
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over the pairs of starts and lens."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+
+
+def _triples(g: TemporalGraph, ends: np.ndarray):
+    """Yield blocks (ii, jj, kk) of candidate triples: every i < j < k with
+    j, k in (i, ends[i]] and both touching an endpoint of edge i. A block
+    holds at most _CHUNK triples unless one j alone pairs with more."""
+    m = g.n_edges
+    e = np.arange(m)
+    # per-node incidence lists in time order, as one sorted key array
+    keys = np.sort(np.concatenate((g.src * m + e, g.tgt * m + e)))
+    # lo/lens entry 2i: edge i's window in its source's list; 2i + 1: target's
+    base = np.stack((g.src, g.tgt), axis=1).ravel() * m
+    lo = np.searchsorted(keys, base + np.repeat(e, 2), side="right")
+    lens = np.searchsorted(keys, base + np.repeat(ends, 2), side="right") - lo
+    width = lens.reshape(m, 2).sum(axis=1)
+    for i0, i1 in _blocks(width * (width - 1) // 2):
+        r0, r1 = 2 * i0, 2 * i1
+        side = np.repeat(np.arange(r0, r1), lens[r0:r1])
+        edge, first = keys[_ranges(lo[r0:r1], lens[r0:r1])] % m, side // 2
+        # an edge joining u and v sits in both lists: keep the source copy
+        u = g.src[first]
+        keep = (side % 2 == 0) | ((g.src[edge] != u) & (g.tgt[edge] != u))
+        edge, first = edge[keep], first[keep]
+        size = np.bincount(first - i0, minlength=i1 - i0)
+        # later[x]: group members after x, each paired with x
+        later = np.repeat(size - 1, size) - _ranges(np.zeros_like(size), size)
+        for a, b in _blocks(later):
+            x = np.repeat(np.arange(a, b), later[a:b])
+            y = _ranges(np.arange(a, b) + 1, later[a:b])
+            jj, kk = edge[x], edge[y]
+            yield first[x], np.minimum(jj, kk), np.maximum(jj, kk)
 
 
 def _classify_chunk(g, ii, jj, kk, exclude_ties, counts_flat, totals):
@@ -284,63 +334,26 @@ def count_motifs(
 ) -> PositionCountMatrix:
     """Count all motif instances within the delta window.
 
-    Sliding-window enumeration: for each first edge only the edges inside
-    its window are paired, so work scales with the sum of squared window
-    sizes rather than the cube of the edge count.
+    For each first edge (u, v) only the later edges inside its window that
+    touch u or v are paired. This is exact because every edge of an
+    instance touches u or v (see the module docstring). `candidates`
+    records how many triples were classified.
     """
     delta = _check_delta(delta)
     tie_policy = _check_tie_policy(tie_policy)
     exclude_ties = tie_policy == "exclude-ties"
-    n, m = g.n_nodes, g.n_edges
+    n = g.n_nodes
     counts_flat = np.zeros(n * catalog.N_CSV_CELLS, dtype=np.int64)
     totals = np.zeros(catalog.N_MOTIFS, dtype=np.int64)
-    if m >= 3:
-        ends = _window_ends(g.time, delta)
-        buf_i: list[np.ndarray] = []
-        buf_j: list[np.ndarray] = []
-        buf_k: list[np.ndarray] = []
-        buffered = 0
-
-        def flush():
-            nonlocal buffered
-            if not buffered:
-                return
-            ii = np.concatenate(buf_i)
-            jj = np.concatenate(buf_j)
-            kk = np.concatenate(buf_k)
-            buf_i.clear()
-            buf_j.clear()
-            buf_k.clear()
-            buffered = 0
-            _classify_chunk(g, ii, jj, kk, exclude_ties, counts_flat, totals)
-
-        for i in range(m):
-            end = int(ends[i])
-            width = end - i
-            if width < 2:
-                continue
-            if width <= _TRIU_CACHE_LIMIT:
-                jj, kk = _triu_pairs(width)
-                buf_i.append(np.full(jj.shape[0], i, dtype=np.int64))
-                buf_j.append(jj + (i + 1))
-                buf_k.append(kk + (i + 1))
-                buffered += jj.shape[0]
-                if buffered >= _CHUNK:
-                    flush()
-            else:
-                for j in range(i + 1, end):
-                    kk = np.arange(j + 1, end + 1, dtype=np.int64)
-                    buf_i.append(np.full(kk.shape[0], i, dtype=np.int64))
-                    buf_j.append(np.full(kk.shape[0], j, dtype=np.int64))
-                    buf_k.append(kk)
-                    buffered += kk.shape[0]
-                    if buffered >= _CHUNK:
-                        flush()
-        flush()
+    candidates = 0
+    for ii, jj, kk in _triples(g, _window_ends(g.time, delta)):
+        _classify_chunk(g, ii, jj, kk, exclude_ties, counts_flat, totals)
+        candidates += ii.shape[0]
     return PositionCountMatrix(
         node_names=g.node_names,
         counts=counts_flat.reshape(n, catalog.N_MOTIFS, 3),
         motif_totals=totals,
         delta=delta,
         tie_policy=tie_policy,
+        candidates=candidates,
     )

@@ -1,7 +1,11 @@
 import ast
+import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -322,3 +326,64 @@ def test_catalog_to_directory(tmp_path):
     assert main(["catalog", "--out", str(out)]) == 0
     assert (out / "catalog.csv").exists()
     check_manifest(out, "catalog")
+
+
+def _renamed_toy_pipeline(tmp_path, name):
+    """count -> profile -> cluster on the toy network with node A renamed;
+    returns the exit codes and the stage directories."""
+    edges = tmp_path / "edges.csv"
+    with open(edges, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("source", "target", "timestamp"))
+        for s, t, x in TOY_EDGES:
+            writer.writerow([name if v == "A" else v for v in (s, t)] + [repr(x)])
+    cdir, pdir, kdir = tmp_path / "c", tmp_path / "p", tmp_path / "k"
+    codes = [
+        main(["count", "--input", str(edges), "--delta", "10", "--out", str(cdir)]),
+        main(["profile", "--counts", str(cdir / "counts.csv"), "--out", str(pdir)]),
+        main(["cluster", "--profiles", str(pdir / "profiles.csv"), "--k", "2",
+              "--out", str(kdir)]),
+    ]
+    return codes, pdir, kdir
+
+
+def test_unicode_line_separator_name_survives_the_pipeline(tmp_path):
+    name = "A\u2028X"  # U+2028 LINE SEPARATOR
+    codes, pdir, kdir = _renamed_toy_pipeline(tmp_path, name)
+    assert codes == [0, 0, 0]
+    rdir = tmp_path / "r"
+    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                 "--dendrogram", str(kdir / "dendrogram.txt"), "--k", "2",
+                 "--node", name, "--out", str(rdir)]) == 0
+    assert (rdir / "dendrogram.svg").exists()
+
+
+def test_line_feed_name_is_rejected_by_cluster(tmp_path, capsys):
+    name = "A\nX"
+    codes, pdir, kdir = _renamed_toy_pipeline(tmp_path, name)
+    assert codes == [0, 0, 1]
+    assert repr(name) in capsys.readouterr().err
+    assert not (kdir / "dendrogram.txt").exists()
+    rdir = tmp_path / "r"
+    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                 "--node", name, "--out", str(rdir)]) == 0
+
+
+@pytest.mark.parametrize("module", ["motifroles", "motifroles.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = Path(motifroles.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", module, "catalog"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("motif,row,col,nodes,edge1,edge2,edge3")
+
+
+def test_count_reports_candidate_triples(tmp_path, toy_csv, capsys):
+    out = tmp_path / "out"
+    assert main(["count", "--input", str(toy_csv), "--delta", "10",
+                 "--out", str(out)]) == 0
+    assert "(4 candidate triples)" in capsys.readouterr().out
+    assert check_manifest(out, "count")["config"]["candidate_triples"] == 4

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motifroles import counting
 from motifroles.catalog import MotifId
 from motifroles.counting import (
     PositionCountMatrix,
@@ -302,3 +303,77 @@ def test_count_matrix_validation():
     with pytest.raises(ValueError):
         PositionCountMatrix(("A",), np.zeros((2, 36, 3), dtype=np.int64),
                             np.zeros(36, dtype=np.int64), 1.0, "seq-order")
+
+
+def _assert_matches_oracle(g, delta):
+    for policy in ("seq-order", "exclude-ties"):
+        fast = count_motifs(g, delta, tie_policy=policy)
+        slow = brute_force_count(g, delta, tie_policy=policy)
+        assert np.array_equal(fast.counts, slow.counts)
+        assert np.array_equal(fast.motif_totals, slow.motif_totals)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tiny_chunks_match_brute_force(monkeypatch, seed):
+    # blocks of first edges and of pairs both split mid-window
+    monkeypatch.setattr(counting, "_CHUNK", 5)
+    rng = np.random.default_rng(seed)
+    g = random_temporal_graph(rng, max_nodes=5, max_edges=30,
+                              integer_times=bool(seed % 2))
+    lo, hi = g.time_span()
+    _assert_matches_oracle(g, 0.5 * (hi - lo) + 1.0)
+
+
+def test_repeated_pair_edges_are_paired_once():
+    # A<->B edges sit in both endpoints' incidence lists
+    rng = np.random.default_rng(3)
+    edges = [("A", "B") if rng.random() < 0.5 else ("B", "A") for _ in range(30)]
+    edges[5::7] = [("C", "A"), ("B", "C"), ("A", "C"), ("C", "B")]
+    g = TemporalGraph.from_named_edges(
+        [(s, t, float(rng.integers(0, 10))) for s, t in edges]
+    )
+    _assert_matches_oracle(g, 3.0)
+    _assert_matches_oracle(g, 20.0)
+
+
+def test_float_window_boundary_uses_subtraction():
+    # 1.6 - 1.3 > 0.3 although 1.6 <= 1.3 + 0.3
+    assert 1.6 - 1.3 > 0.3 and 1.6 <= 1.3 + 0.3
+    g = TemporalGraph.from_named_edges(
+        [("A", "B", 1.3), ("B", "A", 1.45), ("A", "B", 1.6)]
+    )
+    _assert_matches_oracle(g, 0.3)
+    assert count_motifs(g, 0.3).total_instances() == 0
+
+
+def test_window_ends_match_subtraction_predicate():
+    rng = np.random.default_rng(0)
+    many_ties = np.concatenate(([1.3] * 5, [1.45] * 3, [1.6] * 40))
+    for time in (many_ties, rng.uniform(0, 3, 200).round(1), rng.uniform(0, 5, 200)):
+        time = np.sort(time)
+        m = time.shape[0]
+        for delta in (0.1, 0.15, 0.3, 0.7):
+            expected = [max(k for k in range(i, m) if time[k] - time[i] <= delta)
+                        for i in range(m)]
+            assert counting._window_ends(time, delta).tolist() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_candidates_lie_between_instances_and_window_triples(seed, integer_times):
+    rng = np.random.default_rng(seed)
+    g = random_temporal_graph(rng, max_nodes=10, max_edges=40,
+                              integer_times=integer_times)
+    lo, hi = g.time_span()
+    delta = rng.uniform(0.0, (hi - lo) or 1.0) + 1e-9
+    t = g.time
+    widths = [int(np.sum(t[i + 1:] - t[i] <= delta)) for i in range(g.n_edges)]
+    window_triples = sum(w * (w - 1) // 2 for w in widths)
+    for policy in ("seq-order", "exclude-ties"):
+        counted = count_motifs(g, delta, tie_policy=policy)
+        assert counted.total_instances() <= counted.candidates <= window_triples
+
+
+def test_candidates_are_none_when_not_counted(toy_counts):
+    assert toy_counts.candidates == 4
+    assert read_count_csv(io.StringIO(toy_counts.to_csv())).candidates is None
