@@ -77,18 +77,6 @@ class Dendrogram:
                 stack.append(left)
         return order
 
-    def members(self, cluster_id: int) -> list[int]:
-        kids = self.children()
-        out: list[int] = []
-        stack = [cluster_id]
-        while stack:
-            node = stack.pop()
-            if node < self.n_leaves:
-                out.append(node)
-            else:
-                stack.extend(kids[node])
-        return sorted(out)
-
     def heights(self) -> np.ndarray:
         return np.array([m.height for m in self.merges])
 
@@ -114,6 +102,8 @@ def _as_points(profiles) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2:
         raise ValueError("profiles must be a 2-D array of row vectors")
+    if not np.isfinite(x).all():
+        raise ValueError("profiles must hold finite values only")
     return x
 
 
@@ -122,48 +112,65 @@ def ward_linkage(profiles) -> Dendrogram:
 
     Accepts a ProfileMatrix or a plain (n, d) array. Heights are checked
     non-decreasing on every run.
+
+    This is the generic algorithm with a nearest-neighbour cache (Muellner,
+    arXiv:1109.2378): one n x n distance matrix, where a merged cluster
+    takes over its left child's slot, and for each live cluster its nearest
+    neighbour among the live clusters with a larger id. Taking the first
+    minimum over the cache in id order merges the same pair as scanning the
+    whole upper triangle, so the greedy order and the tie-break hold.
     """
     x = _as_points(profiles)
     n = x.shape[0]
     if n < 2:
         raise ValueError("clustering needs at least two observations")
-    total = 2 * n - 1
-    dist = np.full((total, total), np.inf)
-    diff = x[:, None, :] - x[None, :, :]
-    d0 = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
-    dist[:n, :n] = d0
-    sizes = np.zeros(total, dtype=np.int64)
-    sizes[:n] = 1
-    active = list(range(n))
+    dist = np.zeros((n, n))
+    nn = np.full(n, -1)  # slot of the cached nearest neighbour
+    nn_dist = np.full(n, np.inf)
+    for i in range(n - 1):
+        diff = x[i] - x[i + 1 :]
+        row = 0.5 * np.einsum("jk,jk->j", diff, diff)
+        dist[i, i + 1 :] = dist[i + 1 :, i] = row
+        j = int(np.argmin(row))  # first minimum = smallest id
+        nn[i], nn_dist[i] = i + 1 + j, row[j]
+    ids = np.arange(n)  # cluster id held by each slot
+    sizes = np.ones(n, dtype=np.int64)
+    order = np.arange(n)  # live slots in id order
     merges: list[Merge] = []
     last_height = 0.0
     for step in range(n - 1):
-        act = np.array(active)
-        sub = dist[np.ix_(act, act)]
-        iu, ju = np.triu_indices(len(act), k=1)
-        vals = sub[iu, ju]
-        best = int(np.argmin(vals))  # first minimum = smallest (left, right)
-        left, right = int(act[iu[best]]), int(act[ju[best]])
-        height = float(vals[best])
+        best = int(np.argmin(nn_dist[order]))  # smallest (left, right) on ties
+        a = int(order[best])
+        b = int(nn[a])
+        height = float(nn_dist[a])
         if not height >= last_height - _HEIGHT_SLACK * max(1.0, abs(last_height)):
             raise RuntimeError("ward merge heights must be non-decreasing")
         last_height = max(last_height, height)
-        new = n + step
-        si, sj = sizes[left], sizes[right]
-        sizes[new] = si + sj
-        for other in active:
-            if other in (left, right):
-                continue
-            sk = sizes[other]
-            dik = dist[min(left, other), max(left, other)]
-            djk = dist[min(right, other), max(right, other)]
-            d_new = (
-                (si + sk) * dik + (sj + sk) * djk - sk * height
-            ) / (si + sj + sk)
-            dist[other, new] = dist[new, other] = d_new
-        active = [a for a in active if a not in (left, right)]
-        active.append(new)
-        merges.append(Merge(left, right, height, int(sizes[new])))
+        si, sj = sizes[a], sizes[b]
+        order = order[(order != a) & (order != b)]
+        sk = sizes[order]
+        d_new = (
+            (si + sk) * dist[a, order] + (sj + sk) * dist[b, order] - sk * height
+        ) / (si + sj + sk)
+        dist[a, order] = dist[order, a] = d_new
+        sizes[a] = si + sj
+        merges.append(Merge(int(ids[a]), int(ids[b]), height, int(sizes[a])))
+        ids[a] = n + step  # the largest live id, so it has no cached neighbour
+        nn[a], nn_dist[a] = -1, np.inf
+        # A cache that pointed at a child is recomputed. Any other one moves
+        # to the new cluster only when it is strictly nearer, because on a
+        # tie the older, smaller id wins, or when it had no larger id to
+        # point at.
+        cached = nn[order]
+        stale = (cached == a) | (cached == b)
+        closer = ~stale & ((d_new < nn_dist[order]) | (cached < 0))
+        nn[order[closer]], nn_dist[order[closer]] = a, d_new[closer]
+        order = np.append(order, a)
+        for pos in np.flatnonzero(stale):
+            k, later = order[pos], order[pos + 1 :]
+            row = dist[k, later]
+            j = int(np.argmin(row))
+            nn[k], nn_dist[k] = later[j], row[j]
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 
@@ -175,15 +182,14 @@ def cut(dendrogram: Dendrogram, k: int) -> FlatClustering:
     n = dendrogram.n_leaves
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    applied = dendrogram.merges[: n - k]
-    consumed = {m.left for m in applied} | {m.right for m in applied}
-    roots = [i for i in range(n + len(applied)) if i not in consumed]
-    leaf_pos = {leaf: i for i, leaf in enumerate(dendrogram.leaf_order())}
-    roots.sort(key=lambda r: min(leaf_pos[leaf] for leaf in dendrogram.members(r)))
+    root = list(range(2 * n - k))
+    for step in reversed(range(n - k)):  # a parent's root is set before its children's
+        m = dendrogram.merges[step]
+        root[m.left] = root[m.right] = root[n + step]
     labels = np.empty(n, dtype=np.int64)
-    for idx, root in enumerate(roots):
-        for leaf in dendrogram.members(root):
-            labels[leaf] = idx
+    number: dict[int, int] = {}
+    for leaf in dendrogram.leaf_order():  # each root's leaves are one contiguous run
+        labels[leaf] = number.setdefault(root[leaf], len(number))
     return FlatClustering(labels=labels, k=k)
 
 
@@ -222,12 +228,10 @@ def permutation_accuracy(pred, truth) -> float:
         raise ValueError("pred and truth must cover the same nodes")
     if p.shape[0] == 0:
         raise ValueError("empty label arrays")
-    p_ids = np.unique(p)
-    t_ids = np.unique(t)
+    t_ids, t_idx = np.unique(t, return_inverse=True)
+    p_ids, p_idx = np.unique(p, return_inverse=True)
     confusion = np.zeros((t_ids.shape[0], p_ids.shape[0]), dtype=np.int64)
-    for ti, tv in enumerate(t_ids):
-        for pi, pv in enumerate(p_ids):
-            confusion[ti, pi] = int(np.sum((t == tv) & (p == pv)))
+    np.add.at(confusion, (t_idx, p_idx), 1)
     rows, cols = linear_sum_assignment(-confusion)
     return float(confusion[rows, cols].sum()) / p.shape[0]
 

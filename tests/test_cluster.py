@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import linkage
 
 from motifroles.cluster import (
     Dendrogram,
@@ -112,6 +113,104 @@ def ward_oracle(points):
         merges.append((i, j, delta, len(members[next_id])))
         next_id += 1
     return merges
+
+
+def ward_reference(points):
+    """The O(n^3) linkage that ward_linkage replaced: a (2n-1)^2 matrix and,
+    at every step, the first minimum of the live upper triangle in id
+    order. It does the same float operations, so merges must match
+    exactly, ties included."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    total = 2 * n - 1
+    dist = np.full((total, total), np.inf)
+    diff = x[:, None, :] - x[None, :, :]
+    dist[:n, :n] = 0.5 * np.einsum("ijk,ijk->ij", diff, diff)
+    sizes = np.zeros(total, dtype=np.int64)
+    sizes[:n] = 1
+    active = list(range(n))
+    merges = []
+    for step in range(n - 1):
+        act = np.array(active)
+        sub = dist[np.ix_(act, act)]
+        iu, ju = np.triu_indices(len(act), k=1)
+        vals = sub[iu, ju]
+        best = int(np.argmin(vals))
+        left, right = int(act[iu[best]]), int(act[ju[best]])
+        height = float(vals[best])
+        new = n + step
+        si, sj = sizes[left], sizes[right]
+        sizes[new] = si + sj
+        for other in active:
+            if other in (left, right):
+                continue
+            sk = sizes[other]
+            dik = dist[min(left, other), max(left, other)]
+            djk = dist[min(right, other), max(right, other)]
+            d_new = (
+                (si + sk) * dik + (sj + sk) * djk - sk * height
+            ) / (si + sj + sk)
+            dist[other, new] = dist[new, other] = d_new
+        active = [a for a in active if a not in (left, right)]
+        active.append(new)
+        merges.append((left, right, height, int(sizes[new])))
+    return merges
+
+
+def merge_tuples(dendrogram):
+    return [(m.left, m.right, m.height, m.size) for m in dendrogram.merges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 3))
+def test_linkage_equals_reference_on_tie_heavy_grids(seed, n, dim):
+    pts = np.random.default_rng(seed).integers(0, 3, size=(n, dim)).astype(float)
+    assert merge_tuples(ward_linkage(pts)) == ward_reference(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 3))
+def test_linkage_equals_reference_on_normal_points(seed, n, dim):
+    pts = np.random.default_rng(seed).normal(size=(n, dim))
+    assert merge_tuples(ward_linkage(pts)) == ward_reference(pts)
+
+
+def test_linkage_equals_reference_on_profile_rows():
+    pts = np.random.default_rng(11).dirichlet(np.full(24, 0.3), size=200)
+    assert merge_tuples(ward_linkage(pts)) == ward_reference(pts)
+
+
+@pytest.mark.parametrize("n, dim, seed", [(2, 3, 0), (3, 1, 1), (10, 2, 2),
+                                          (60, 4, 3), (150, 6, 4), (300, 8, 5)])
+def test_linkage_matches_scipy_on_tie_free_points(n, dim, seed):
+    # Without ties Ward's merge order is unique; scipy's distance d is
+    # sqrt(2 * height)
+    pts = np.random.default_rng(seed).normal(size=(n, dim))
+    got = ward_linkage(pts).merges
+    ref = linkage(pts, method="ward")
+    assert [(m.left, m.right, m.size) for m in got] == \
+           [(int(a), int(b), int(s)) for a, b, _, s in ref]
+    assert np.allclose([m.height for m in got], ref[:, 2] ** 2 / 2,
+                       rtol=1e-9, atol=1e-15)
+
+
+def test_linkage_equals_reference_when_distances_overflow():
+    # finite points whose squared gaps overflow to inf still get a full tree
+    pts = np.array([[0.0], [1.0], [1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, ref = merge_tuples(ward_linkage(pts)), ward_reference(pts)
+    assert got == ref
+    assert got[-1][:2] == (2, 3)
+
+
+def test_ward_rejects_nan_profiles():
+    with pytest.raises(ValueError, match="finite"):
+        ward_linkage(np.array([[0.0, 1.0], [np.nan, 0.5], [2.0, 0.0]]))
+
+
+def test_ward_rejects_infinite_profiles():
+    with pytest.raises(ValueError, match="finite"):
+        ward_linkage(np.array([[0.0], [np.inf], [2.0]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,3 +361,34 @@ def test_leaf_order_is_a_permutation():
         labels = cut(d, k).labels
         seq = [labels[i] for i in order]
         assert seq == sorted(seq)
+
+
+def random_dendrogram(rng, n):
+    live = list(range(n))
+    sizes = [1] * n
+    merges = []
+    for step in range(n - 1):
+        i, j = rng.choice(len(live), size=2, replace=False)
+        left, right = live[i], live[j]
+        live = [c for c in live if c not in (left, right)] + [n + step]
+        sizes.append(sizes[left] + sizes[right])
+        merges.append(Merge(left, right, float(step), sizes[-1]))
+    return Dendrogram(n_leaves=n, merges=tuple(merges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30))
+def test_cut_labels_are_runs_of_leaf_order_numbered_left_to_right(seed, n):
+    d = random_dendrogram(np.random.default_rng(seed), n)
+    order = d.leaf_order()
+    for k in range(1, n + 1):
+        labels = cut(d, k).labels
+        seq = labels[order]
+        # runs 0, 1, ..., k-1 along the leaf order, each one contiguous
+        assert seq[0] == 0 and set(np.diff(seq)) <= {0, 1} and seq[-1] == k - 1
+        # and each run is the leaf set of a subtree left after n-k merges
+        groups = {i: {i} for i in range(n)}
+        for step, m in enumerate(d.merges[: n - k]):
+            groups[n + step] = groups.pop(m.left) | groups.pop(m.right)
+        assert {frozenset(g) for g in groups.values()} == \
+               {frozenset(np.flatnonzero(labels == c)) for c in range(k)}
