@@ -212,10 +212,16 @@ def _cmd_simulate(args) -> None:
         "seed": args.seed,
         "n_nodes": params.n_nodes,
         "horizon": params.horizon,
+        "events": net.graph.n_edges,
+        "candidates": net.candidates,
+        "stability_margin": params.stability_margin(),
     }
     inputs = {} if args.params is None else {"params": args.params}
     _write_manifest(out, "simulate", config, inputs)
-    print(f"simulated {net.graph.n_edges} events on {params.n_nodes} nodes (seed {args.seed})")
+    print(
+        f"simulated {net.graph.n_edges} events ({net.candidates} candidates) "
+        f"on {params.n_nodes} nodes (seed {args.seed})"
+    )
 
 
 def _cmd_eval(args) -> None:

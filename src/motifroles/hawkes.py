@@ -13,8 +13,13 @@ events. Which events excite a pair is set by the excitation kind:
 An excitation entry attaches to the excited pair's block pair. Each
 matching trigger adds alpha * beta * exp(-beta * (t - t_event)) to the
 intensity, so alpha is the expected number of directly spawned events.
-Sampling uses thinning on the summed intensity, which only decays between
-events; runs are fully determined by (params, seed).
+Sampling uses Ogata's thinning on the summed intensity, which only decays
+between events; runs are fully determined by (params, seed). All state is
+one (E+1, n*n) array, row 0 the baseline and row 1+i entry i's decaying
+excitation per pair, so a candidate costs a fixed handful of numpy calls
+whatever E is. The random draws and every float are those of a loop over
+separate per-entry arrays: decay, row sums and rate sums run in the same
+IEEE operations and order.
 """
 
 from __future__ import annotations
@@ -189,6 +194,7 @@ def read_params(path) -> BlockHawkesParams:
 class SimulatedNetwork:
     graph: TemporalGraph
     labels: np.ndarray  # block per node, aligned with graph.node_names
+    candidates: int = 0  # thinning candidates inside the horizon, accepted or not
 
     def __post_init__(self):
         self.labels.setflags(write=False)
@@ -258,20 +264,42 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
     mu_sum = float(mu.sum())
 
     entries = params.excitations
-    states = [np.zeros((n, n)) for _ in entries]
-    # per-entry boolean masks: which pairs the entry can ever excite
-    masks = []
-    for e in entries:
-        pair_mask = np.logical_and.outer(labels == e.block_pair[0], labels == e.block_pair[1])
-        np.fill_diagonal(pair_mask, False)
-        masks.append(pair_mask)
+    nn = n * n
+    states = np.zeros((len(entries) + 1, nn))
+    states[0] = mu.reshape(-1)
+    exc = states[1:]
+    flat = states.reshape(-1)
+    neg_beta = np.array([-e.beta for e in entries]).reshape(-1, 1)
+    lab = labels.tolist()
+    jumps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def total_excitation() -> float:
-        return float(sum(s.sum() for s in states))
+    def jump_cells(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat state indices that event (p, q) excites, with alpha*beta each."""
+        cells, values = [], []
+        for row, e in enumerate(entries, start=1):
+            if e.kind == "self":
+                hit = [(p, q)]
+            elif e.kind == "reciprocal":
+                hit = [(q, p)]
+            elif e.kind == "shared-receiver":
+                hit = [(r, q) for r in range(n) if r != p]
+            else:  # broadcast: receiving node q sends onward
+                hit = [(q, c) for c in range(n) if c != p]
+            b1, b2 = e.block_pair  # only pairs in the entry's block pair
+            hit = [row * nn + a * n + b for a, b in hit
+                   if a != b and lab[a] == b1 and lab[b] == b2]
+            cells += hit
+            values += [e.alpha * e.beta] * len(hit)
+        return np.array(cells, dtype=np.intp), np.array(values, dtype=np.float64)
+
+    def total_excitation():
+        # one pairwise sum per contiguous entry row, then the rows in entry order
+        return sum(np.add.reduce(exc, axis=1).tolist())
 
     events_src: list[int] = []
     events_tgt: list[int] = []
     events_time: list[float] = []
+    candidates = 0
     t = 0.0
     bound = mu_sum + total_excitation()
     horizon = params.horizon
@@ -282,45 +310,29 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
         t_cand = t + wait
         if t_cand > horizon:
             break
+        candidates += 1
         dt = t_cand - t
-        for e, s in zip(entries, states):
-            s *= np.exp(-e.beta * dt)
+        # np.exp, never math.exp: they differ in the last bit on some inputs
+        exc *= np.exp(neg_beta * dt)
         lam = mu_sum + total_excitation()
         if not lam <= bound * (1.0 + 1e-9):
             raise RuntimeError("thinning bound violated")
         accept = rng.random()
         if accept * bound <= lam:
-            rates = mu.copy()
-            for s in states:
-                rates += s
-            cum = np.cumsum(rates.reshape(-1))
+            # rates added baseline first, then entries in order
+            cum = np.add.reduce(states, axis=0).cumsum()
             pick = rng.random() * cum[-1]
-            idx = int(np.searchsorted(cum, pick, side="right"))
-            idx = min(idx, rates.size - 1)
+            idx = min(int(cum.searchsorted(pick, side="right")), nn - 1)
             p, q = divmod(idx, n)
             events_src.append(p)
             events_tgt.append(q)
             events_time.append(t_cand)
             if len(events_time) > params.max_events:
                 raise RuntimeError("simulation exceeded max_events")
-            for e, s, mask in zip(entries, states, masks):
-                jump = e.alpha * e.beta
-                if e.kind == "self":
-                    if mask[p, q]:
-                        s[p, q] += jump
-                elif e.kind == "reciprocal":
-                    if mask[q, p]:
-                        s[q, p] += jump
-                elif e.kind == "shared-receiver":
-                    col = mask[:, q].copy()
-                    col[p] = False
-                    col[q] = False
-                    s[col, q] += jump
-                else:  # broadcast: receiving node q sends onward
-                    row = mask[q, :].copy()
-                    row[p] = False
-                    row[q] = False
-                    s[q, row] += jump
+            if idx not in jumps:
+                jumps[idx] = jump_cells(p, q)
+            cells, values = jumps[idx]
+            flat[cells] += values  # distinct cells: each gets x + alpha*beta
             t = t_cand
             bound = mu_sum + total_excitation()
         else:
@@ -328,7 +340,7 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
             bound = lam
     names = tuple(str(i) for i in range(n))
     graph = TemporalGraph(names, events_src, events_tgt, events_time)
-    return SimulatedNetwork(graph=graph, labels=labels)
+    return SimulatedNetwork(graph=graph, labels=labels, candidates=candidates)
 
 
 # Shipped scenario parameter sets for the two-block role-recovery study.

@@ -250,7 +250,7 @@ def test_outputs_are_byte_reproducible(tmp_path, toy_csv):
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
 
-def test_simulate_writes_edges_and_labels(tmp_path):
+def test_simulate_writes_edges_and_labels(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", "2", "--seed", "11",
                  "--out", str(out)]) == 0
@@ -260,7 +260,12 @@ def test_simulate_writes_edges_and_labels(tmp_path):
     labels = (out / "labels.csv").read_text().strip().splitlines()
     assert labels[0] == "node,block"
     assert len(labels) == 21
-    check_manifest(out, "simulate")
+    config = check_manifest(out, "simulate")["config"]
+    assert config["events"] == g.n_edges
+    assert config["candidates"] >= g.n_edges
+    assert config["stability_margin"] == scenario_params(2).stability_margin()
+    printed = capsys.readouterr().out
+    assert f"simulated {g.n_edges} events ({config['candidates']} candidates)" in printed
     # determinism: a second run produces identical bytes
     out2 = tmp_path / "sim2"
     assert main(["simulate", "--scenario", "2", "--seed", "11",

@@ -1,11 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from motifroles.cluster import write_labels_csv
 from motifroles.graph import serialize_edge_list
 from motifroles.hawkes import (
+    EXCITATION_KINDS,
     BlockHawkesParams,
     Excitation,
     SCENARIO_DELTAS,
@@ -267,3 +272,251 @@ class TestScenarios:
         pairs = {(e.source, e.target) for e in net.graph.edges()}
         reciprocated = sum(1 for (u, v) in pairs if (v, u) in pairs)
         assert reciprocated > 10
+
+
+def thinning_reference(params, seed):
+    """The thinning loop that simulate replaced: one n x n state array per
+    excitation entry and about 3E numpy calls per candidate. simulate must
+    draw the same numbers and form the same floats, so its networks must
+    equal these exactly. Returns (src, tgt, time, labels, candidates).
+
+    This reference goes when a sampler that draws different numbers, such
+    as the branching representation, replaces thinning; the time-rescaling
+    test below then remains the oracle."""
+    params.validate()
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    n = params.n_nodes
+    if params.block_assignment is not None:
+        labels = np.array(params.block_assignment, dtype=np.int64)
+    else:
+        labels = rng.choice(params.n_blocks, size=n, p=np.asarray(params.block_probs))
+        labels = labels.astype(np.int64)
+    mu = params.baseline_array()[np.ix_(labels, labels)]
+    np.fill_diagonal(mu, 0.0)
+    mu_sum = float(mu.sum())
+    entries = params.excitations
+    states = [np.zeros((n, n)) for _ in entries]
+    masks = []
+    for e in entries:
+        pair_mask = np.logical_and.outer(labels == e.block_pair[0], labels == e.block_pair[1])
+        np.fill_diagonal(pair_mask, False)
+        masks.append(pair_mask)
+
+    def total_excitation():
+        return float(sum(s.sum() for s in states))
+
+    src, tgt, times = [], [], []
+    candidates = 0
+    t = 0.0
+    bound = mu_sum + total_excitation()
+    while bound > 0.0:
+        t_cand = t + rng.exponential(1.0 / bound)
+        if t_cand > params.horizon:
+            break
+        candidates += 1
+        dt = t_cand - t
+        for e, s in zip(entries, states):
+            s *= np.exp(-e.beta * dt)
+        lam = mu_sum + total_excitation()
+        assert lam <= bound * (1.0 + 1e-9)
+        t = t_cand
+        if rng.random() * bound <= lam:
+            rates = mu.copy()
+            for s in states:
+                rates += s
+            cum = np.cumsum(rates.reshape(-1))
+            idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            p, q = divmod(min(idx, rates.size - 1), n)
+            src.append(p)
+            tgt.append(q)
+            times.append(t_cand)
+            for e, s, mask in zip(entries, states, masks):
+                jump = e.alpha * e.beta
+                if e.kind == "self":
+                    if mask[p, q]:
+                        s[p, q] += jump
+                elif e.kind == "reciprocal":
+                    if mask[q, p]:
+                        s[q, p] += jump
+                elif e.kind == "shared-receiver":
+                    col = mask[:, q].copy()
+                    col[p] = col[q] = False
+                    s[col, q] += jump
+                else:
+                    row = mask[q, :].copy()
+                    row[p] = row[q] = False
+                    s[q, row] += jump
+            bound = mu_sum + total_excitation()
+        else:
+            bound = lam
+    return src, tgt, times, labels.tolist(), candidates
+
+
+def assert_same_as_reference(params, seed):
+    net = simulate(params, seed)
+    src, tgt, times, labels, candidates = thinning_reference(params, seed)
+    assert net.graph.src.tolist() == src
+    assert net.graph.tgt.tolist() == tgt
+    assert net.graph.time.tolist() == times
+    assert net.labels.tolist() == labels
+    assert net.candidates == candidates
+
+
+@st.composite
+def random_params(draw):
+    """1-3 blocks, 2-8 nodes, 0-11 entries of any kind, alphas scaled so
+    the worst block pair receives kernel mass 0.9. When `shared` is drawn
+    every entry sits on one block pair, so a cell sums up to 12 rows."""
+    n_blocks = draw(st.integers(1, 3))
+    n_nodes = draw(st.integers(2, 8))
+    block = st.integers(0, n_blocks - 1)
+    shared = draw(st.booleans())
+    common = (draw(block), draw(block))
+    raw = []
+    for _ in range(draw(st.integers(0, 11))):
+        raw.append((
+            draw(st.sampled_from(EXCITATION_KINDS)),
+            common if shared else (draw(block), draw(block)),
+            draw(st.floats(0.05, 1.0)),
+            draw(st.sampled_from((0.3, 1.0, 1.7, 4.0))),
+        ))
+    fan = {"self": 1, "reciprocal": 1}
+    mass: dict = {}
+    for kind, pair, alpha, _ in raw:
+        mass[pair] = mass.get(pair, 0.0) + fan.get(kind, n_nodes - 2) * alpha
+    worst = max(mass.values(), default=0.0)
+    scale = 0.9 / worst if worst > 0 else 1.0
+    rates = st.sampled_from((0.0, 0.02, 0.2, 1.0))
+    baseline = tuple(tuple(draw(rates) for _ in range(n_blocks)) for _ in range(n_blocks))
+    top = max(max(row) for row in baseline)
+    fixed = draw(st.booleans())
+    return BlockHawkesParams(
+        n_nodes=n_nodes,
+        block_probs=tuple([1.0 / n_blocks] * n_blocks),
+        # about 40 immigrants at most, so at most a few hundred events
+        horizon=40.0 / (n_nodes * (n_nodes - 1) * top) if top > 0 else 10.0,
+        baseline=baseline,
+        excitations=tuple(
+            Excitation(kind, pair, alpha=alpha * scale, beta=beta)
+            for kind, pair, alpha, beta in raw
+        ),
+        block_assignment=(
+            tuple(draw(st.lists(block, min_size=n_nodes, max_size=n_nodes)))
+            if fixed else None
+        ),
+    )
+
+
+class TestThinningReference:
+    @settings(max_examples=80, deadline=None)
+    @given(random_params(), st.integers(0, 2**32 - 1))
+    def test_simulate_equals_reference_on_random_params(self, params, seed):
+        assert_same_as_reference(params, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eleven_entries_on_one_block_pair(self, seed):
+        kinds = EXCITATION_KINDS * 3
+        params = BlockHawkesParams(
+            n_nodes=6, block_probs=(1.0,), horizon=60.0, baseline=((0.02,),),
+            excitations=tuple(
+                Excitation(kinds[i], (0, 0), alpha=0.018 + 0.001 * i,
+                           beta=(0.3, 1.0, 1.7, 4.0)[i % 4])
+                for i in range(11)
+            ),
+        )
+        assert params.stability_margin() > 0
+        assert_same_as_reference(params, seed)
+
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_scenarios_equal_reference(self, which):
+        params = scenario_params(which)
+        for seed in range(20):
+            assert_same_as_reference(params, seed)
+
+    def test_numpy_reductions_keep_the_reference_order(self):
+        # simulate's floats equal the reference's only because reducing a
+        # C-contiguous stack over axis 0 adds the rows one after another,
+        # and reducing over axis 1 sums each row pairwise as s.sum() does.
+        # A rate sum in another order rarely moves a pick, so the network
+        # tests above can miss it; on this data other orders differ.
+        rng = np.random.default_rng(0)
+        for rows in range(1, 13):
+            scale = 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+            stack = rng.standard_normal((rows, 400)) * scale
+            loop = stack[0].copy()
+            for row in stack[1:]:
+                loop += row
+            assert np.add.reduce(stack, axis=0).tolist() == loop.tolist()
+            sums = [row.reshape(20, 20).sum() for row in stack]
+            assert np.add.reduce(stack, axis=1).tolist() == sums
+
+    def test_candidates_count_the_accept_tests(self):
+        poisson = one_block_params(mu=0.3, horizon=40.0, n_nodes=3)
+        net = simulate(poisson, seed=4)
+        # a constant intensity is its own bound, so every candidate is kept
+        assert net.candidates == net.graph.n_edges > 0
+        net = simulate(scenario_params(1), seed=4)
+        assert net.candidates > net.graph.n_edges
+
+
+def rescaled_increments(params, net):
+    """Compensator increments between consecutive events, from the formula.
+
+    The pairs an event excites under each entry are read off `intensity`
+    (one entry, zero baseline, one-event history), and the summed
+    intensity is integrated in closed form between events. Under a
+    correct sampler the increments are i.i.d. Exp(1) (time-rescaling)."""
+    labels = net.labels.tolist()
+    n = params.n_nodes
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    mu_sum = sum(intensity(params, [], pair, 0.0, labels) for pair in pairs)
+    zero = tuple((0.0,) * params.n_blocks for _ in range(params.n_blocks))
+    alone = [dataclasses.replace(params, baseline=zero, excitations=(e,))
+             for e in params.excitations]
+    fanout: dict = {}
+
+    def excited(src, tgt):
+        if (src, tgt) not in fanout:
+            fanout[src, tgt] = [
+                sum(intensity(one, [(src, tgt, 0.0)], pair, 1e-12, labels) > 0
+                    for pair in pairs)
+                for one in alone
+            ]
+        return fanout[src, tgt]
+
+    level = [0.0] * len(alone)
+    t_prev = 0.0
+    out = []
+    for src, tgt, t in zip(net.graph.src.tolist(), net.graph.tgt.tolist(),
+                           net.graph.time.tolist()):
+        dt = t - t_prev
+        inc = mu_sum * dt
+        for i, e in enumerate(params.excitations):
+            decay = math.exp(-e.beta * dt)
+            inc += level[i] * (1.0 - decay) / e.beta
+            level[i] *= decay
+        out.append(inc)
+        for i, (e, k) in enumerate(zip(params.excitations, excited(src, tgt))):
+            level[i] += k * e.alpha * e.beta
+        t_prev = t
+    return out
+
+
+def test_time_rescaled_gaps_are_unit_exponential():
+    params = BlockHawkesParams(
+        n_nodes=5, block_probs=(0.4, 0.6), horizon=80.0,
+        baseline=((0.05, 0.1), (0.02, 0.05)),
+        excitations=(
+            Excitation("self", (0, 1), alpha=0.3, beta=1.0),
+            Excitation("shared-receiver", (0, 1), alpha=0.1, beta=0.5),
+            Excitation("reciprocal", (1, 0), alpha=0.4, beta=2.0),
+            Excitation("broadcast", (1, 0), alpha=0.1, beta=1.7),
+            Excitation("self", (1, 1), alpha=0.5, beta=4.0),
+        ),
+        block_assignment=(0, 0, 1, 1, 1),
+    )
+    gaps = []
+    for seed in range(30):
+        gaps += rescaled_increments(params, simulate(params, seed))
+    assert len(gaps) > 3000
+    assert stats.kstest(gaps, "expon").pvalue > 0.01
