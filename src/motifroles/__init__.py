@@ -35,15 +35,12 @@ from .counting import (
 )
 from .evaluation import EvalSummary, RunResult, evaluate_run, evaluate_scenario
 from .graph import (
-    StaticDigraph,
     TemporalEdge,
     TemporalGraph,
-    aggregate_static,
     filter_nodes,
     largest_scc,
     parse_edge_list,
     serialize_edge_list,
-    strongly_connected_components,
     write_edge_list,
 )
 from .hawkes import (
@@ -79,10 +76,8 @@ __all__ = [
     "ProfileMatrix",
     "RunResult",
     "SimulatedNetwork",
-    "StaticDigraph",
     "TemporalEdge",
     "TemporalGraph",
-    "aggregate_static",
     "brute_force_count",
     "build_positioned",
     "build_positionless",
@@ -113,7 +108,6 @@ __all__ = [
     "serialize_edge_list",
     "signature_of",
     "simulate",
-    "strongly_connected_components",
     "ward_linkage",
     "write_edge_list",
     "write_params",

@@ -1,9 +1,11 @@
 """Command-line pipeline: count, profile, cluster, render, simulate, eval.
 
-Every subcommand validates its inputs, writes its outputs plus a
-manifest.json into --out, and is reproducible: identical configuration
-and inputs give byte-identical outputs. Exit codes: 0 success, 1
-validation error, 2 I/O error.
+Every subcommand does all of its computing first and only then creates
+--out and writes its outputs plus a manifest.json there, so a run that
+fails leaves no directory behind. Input values are checked once, by the
+library. Runs are reproducible: identical configuration and inputs give
+byte-identical outputs. Exit codes: 0 success, 1 validation error, 2 I/O
+error.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .cluster import (
     ward_linkage,
     write_labels_csv,
 )
-from .counting import _check_delta, count_motifs, read_count_csv
+from .counting import count_motifs, read_count_csv
 from .evaluation import evaluate_scenario
-from .graph import aggregate_static, filter_nodes, largest_scc, parse_edge_list, write_edge_list
+from .graph import filter_nodes, largest_scc, parse_edge_list, write_edge_list
 from .hawkes import (
     read_params,
     scenario_delta,
@@ -74,22 +76,20 @@ def _prepare_out(raw: str) -> Path:
 
 
 def _cmd_count(args) -> None:
-    delta = _check_delta(args.delta)
-    tie_policy = _TIE_FLAG[args.ties]
-    out = _prepare_out(args.out)
     graph = parse_edge_list(args.input)
     scc_kept = None
     if args.scc:
-        component = largest_scc(aggregate_static(graph))
+        component = largest_scc(graph)
         scc_kept = sorted(graph.node_names[i] for i in component)
         graph = filter_nodes(graph, component)
-    counts = count_motifs(graph, delta, tie_policy)
+    counts = count_motifs(graph, args.delta, _TIE_FLAG[args.ties])
+    out = _prepare_out(args.out)
     counts.write_csv(out / "counts.csv")
     counts.write_motif_totals_csv(out / "motif_totals.csv")
     config = {
         "input": args.input,
-        "delta": delta,
-        "ties": tie_policy,
+        "delta": counts.delta,
+        "ties": counts.tie_policy,
         "scc": bool(args.scc),
         "scc_nodes": scc_kept,
         "candidate_triples": counts.candidates,
@@ -97,7 +97,7 @@ def _cmd_count(args) -> None:
     _write_manifest(out, "count", config, {"edges": args.input})
     print(f"counted {counts.total_instances()} motif instances "
           f"({counts.candidates} candidate triples) over "
-          f"{graph.n_edges} edges, {graph.n_nodes} nodes (delta={delta:g})")
+          f"{graph.n_edges} edges, {graph.n_nodes} nodes (delta={counts.delta:g})")
     print("instances by motif cell (rows 1-6, columns 1-6):")
     grid = counts.motif_totals.reshape(6, 6)
     print("      " + "".join(f"c{c + 1:<9}" for c in range(6)))
@@ -106,14 +106,12 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_profile(args) -> None:
-    if args.min_motifs < 0:
-        raise ValueError(f"--min-motifs must be non-negative, got {args.min_motifs}")
-    out = _prepare_out(args.out)
     counts = read_count_csv(args.counts)
     builder = build_positionless if args.positionless else build_positioned
     prof = builder(counts, min_motifs=args.min_motifs)
     if prof.n_profiled == 0:
         raise ValueError("no node passes the participation filter")
+    out = _prepare_out(args.out)
     prof.write_csv(out / "profiles.csv")
     prof.write_dropped_csv(out / "dropped.csv")
     config = {
@@ -126,7 +124,6 @@ def _cmd_profile(args) -> None:
 
 
 def _cmd_cluster(args) -> None:
-    out = _prepare_out(args.out)
     prof = read_profile_csv(args.profiles)
     if args.k < 1 or args.k > max(prof.n_profiled, 1):
         raise ValueError(
@@ -134,9 +131,9 @@ def _cmd_cluster(args) -> None:
         )
     dendro = ward_linkage(prof)
     clustering = cut(dendro, args.k)
-    (out / "dendrogram.txt").write_text(
-        serialize_dendrogram(dendro, prof.node_names), encoding="utf-8"
-    )
+    text = serialize_dendrogram(dendro, prof.node_names)
+    out = _prepare_out(args.out)
+    (out / "dendrogram.txt").write_text(text, encoding="utf-8")
     write_labels_csv(prof.node_names, clustering, out / "clusters.csv", "cluster")
     config = {"profiles": args.profiles, "k": args.k, "kind": prof.kind}
     _write_manifest(out, "cluster", config, {"profiles": args.profiles})
@@ -145,10 +142,9 @@ def _cmd_cluster(args) -> None:
 
 
 def _cmd_render(args) -> None:
-    out = _prepare_out(args.out)
     prof = read_profile_csv(args.profiles)
     inputs = {"profiles": args.profiles}
-    wrote = []
+    svgs = {}
     if args.dendrogram:
         dendro, names = parse_dendrogram(
             Path(args.dendrogram).read_text(encoding="utf-8")
@@ -156,31 +152,25 @@ def _cmd_render(args) -> None:
         if names != prof.node_names:
             raise ValueError("dendrogram and profile files cover different nodes")
         k = args.k if args.k is not None else 1
-        if k < 1 or k > dendro.n_leaves:
-            raise ValueError(f"--k must be in 1..{dendro.n_leaves}")
-        (out / "dendrogram.svg").write_text(
-            dendrogram_svg(dendro, names, k_highlight=k), encoding="utf-8"
-        )
-        wrote.append("dendrogram.svg")
-        clustering = cut(dendro, k)
-        means = centroids(prof, clustering)
+        svgs["dendrogram.svg"] = dendrogram_svg(dendro, names, k_highlight=k)
+        means = centroids(prof, cut(dendro, k))
         for c in range(k):
-            svg = heatmap_svg(
+            svgs[f"centroid_{c}.svg"] = heatmap_svg(
                 means[c], prof.kind, f"cluster {c} centroid ({prof.kind})"
             )
-            (out / f"centroid_{c}.svg").write_text(svg, encoding="utf-8")
-            wrote.append(f"centroid_{c}.svg")
         inputs["dendrogram"] = args.dendrogram
     for name in args.node or []:
         if name not in prof.node_names:
             raise ValueError(f"node {name!r} is not in the profile file")
         row = prof.node_names.index(name)
-        svg = heatmap_svg(prof.vectors[row], prof.kind, f"node {name} ({prof.kind})")
-        fname = f"node_{urllib.parse.quote(name, safe='')}.svg"
-        (out / fname).write_text(svg, encoding="utf-8")
-        wrote.append(fname)
-    if not wrote:
+        svgs[f"node_{urllib.parse.quote(name, safe='')}.svg"] = heatmap_svg(
+            prof.vectors[row], prof.kind, f"node {name} ({prof.kind})"
+        )
+    if not svgs:
         raise ValueError("nothing to render: pass --dendrogram and/or --node")
+    out = _prepare_out(args.out)
+    for fname, svg in svgs.items():
+        (out / fname).write_text(svg, encoding="utf-8")
     config = {
         "profiles": args.profiles,
         "dendrogram": args.dendrogram,
@@ -188,7 +178,7 @@ def _cmd_render(args) -> None:
         "nodes": list(args.node or []),
     }
     _write_manifest(out, "render", config, inputs)
-    print(f"wrote {len(wrote)} SVG file(s) to {out}")
+    print(f"wrote {len(svgs)} SVG file(s) to {out}")
 
 
 def _load_scenario(args):
@@ -200,11 +190,11 @@ def _load_scenario(args):
 
 
 def _cmd_simulate(args) -> None:
-    out = _prepare_out(args.out)
     params, source = _load_scenario(args)
+    net = simulate(params, args.seed)
     if args.emit_params:
         write_params(params, args.emit_params)
-    net = simulate(params, args.seed)
+    out = _prepare_out(args.out)
     write_edge_list(net.graph, out / "edges.csv")
     write_labels_csv(net.graph.node_names, net.labels, out / "labels.csv", "block")
     config = {
@@ -225,30 +215,22 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    delta = (
-        _check_delta(args.delta)
-        if args.delta is not None
-        else (scenario_delta(args.scenario) if args.scenario is not None else None)
-    )
-    if delta is None:
-        raise ValueError("--delta is required with --params")
-    if args.runs < 1:
-        raise ValueError(f"--runs must be at least 1, got {args.runs}")
-    if args.k < 1:
-        raise ValueError(f"--k must be at least 1, got {args.k}")
-    if args.min_motifs < 0:
-        raise ValueError(f"--min-motifs must be non-negative, got {args.min_motifs}")
-    out = _prepare_out(args.out)
     params, source = _load_scenario(args)
+    delta = args.delta
+    if delta is None:
+        if args.scenario is None:
+            raise ValueError("--delta is required with --params")
+        delta = scenario_delta(args.scenario)
     seeds = range(args.seed, args.seed + args.runs)
     summary = evaluate_scenario(
         params, delta, seeds, k=args.k, min_motifs=args.min_motifs
     )
+    out = _prepare_out(args.out)
     summary.write_runs_csv(out / "runs.csv")
     (out / "summary.csv").write_text(summary.report(), encoding="utf-8")
     config = {
         "source": source,
-        "delta": delta,
+        "delta": summary.delta,
         "runs": args.runs,
         "base_seed": args.seed,
         "k": args.k,

@@ -262,10 +262,6 @@ def serialize_dendrogram(
     return "\n".join(lines) + "\n"
 
 
-def write_dendrogram(dendrogram: Dendrogram, node_names: Sequence[str], path) -> None:
-    Path(path).write_text(serialize_dendrogram(dendrogram, node_names), encoding="utf-8")
-
-
 def parse_dendrogram(text: str) -> tuple[Dendrogram, tuple[str, ...]]:
     n_leaves = None
     names: dict[int, str] = {}

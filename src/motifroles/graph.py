@@ -205,57 +205,22 @@ def write_edge_list(g: TemporalGraph, path, delimiter: str = ",") -> None:
     Path(path).write_text(serialize_edge_list(g, delimiter), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class StaticDigraph:
-    """Aggregation of a temporal graph: unique directed arcs, no weights."""
-
-    node_names: tuple[str, ...]
-    arcs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        n = len(self.node_names)
-        for u, v in self.arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc endpoint out of range: {(u, v)}")
-            if u == v:
-                raise ValueError(f"self-loop arc: {(u, v)}")
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_names)
-
-    def named_arcs(self) -> set[tuple[str, str]]:
-        return {(self.node_names[u], self.node_names[v]) for u, v in self.arcs}
-
-
-def aggregate_static(g: TemporalGraph) -> StaticDigraph:
-    arcs = frozenset(zip(g.src.tolist(), g.tgt.tolist()))
-    return StaticDigraph(g.node_names, arcs)
-
-
-def strongly_connected_components(s: StaticDigraph) -> list[list[int]]:
-    """All SCCs, singletons included; each sorted, listed by smallest member."""
-    n = s.n_nodes
+def largest_scc(g: TemporalGraph) -> frozenset[int]:
+    """Node set of the largest strongly connected component of the
+    time-aggregated digraph, where parallel edges count as one arc; on
+    equal sizes the component holding the smallest node index wins."""
+    n = g.n_nodes
     if n == 0:
-        return []
-    arcs = np.array(list(s.arcs), dtype=np.int64).reshape(-1, 2)
+        return frozenset()
     adjacency = csr_matrix(
-        (np.ones(len(arcs), dtype=np.int8), (arcs[:, 0], arcs[:, 1])), shape=(n, n)
+        (np.ones(g.n_edges, dtype=bool), (g.src, g.tgt)), shape=(n, n)
     )
     _, labels = connected_components(adjacency, directed=True, connection="strong")
-    comps: dict[int, list[int]] = {}
-    for node, label in enumerate(labels.tolist()):
-        comps.setdefault(label, []).append(node)
-    return list(comps.values())
-
-
-def largest_scc(s: StaticDigraph) -> frozenset[int]:
-    """Node set of the largest SCC; ties broken by smallest minimum index."""
-    comps = strongly_connected_components(s)
-    if not comps:
-        return frozenset()
-    # max keeps the first of equal sizes, and comps run by smallest member
-    return frozenset(max(comps, key=len))
+    sizes = np.bincount(labels)
+    smallest = np.full(sizes.size, n)
+    np.minimum.at(smallest, labels, np.arange(n))
+    best = np.lexsort((smallest, -sizes))[0]
+    return frozenset(np.flatnonzero(labels == best).tolist())
 
 
 def filter_nodes(g: TemporalGraph, keep: Iterable[int]) -> TemporalGraph:

@@ -45,6 +45,11 @@ class Excitation:
     def __post_init__(self):
         if self.kind not in EXCITATION_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
+        # a tuple, so that received_mass and intensity match it by ==
+        pair = tuple(int(b) for b in self.block_pair)
+        if len(pair) != 2:
+            raise ValueError(f"block_pair must hold two blocks, got {self.block_pair!r}")
+        object.__setattr__(self, "block_pair", pair)
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if not self.beta > 0:
@@ -163,7 +168,7 @@ class BlockHawkesParams:
                 excitations=tuple(
                     Excitation(
                         kind=str(e["kind"]),
-                        block_pair=(int(e["block_pair"][0]), int(e["block_pair"][1])),
+                        block_pair=e["block_pair"],
                         alpha=float(e["alpha"]),
                         beta=float(e["beta"]),
                     )

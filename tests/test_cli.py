@@ -169,12 +169,43 @@ def test_render_rejects_mismatched_dendrogram(tmp_path, toy_csv, capsys):
     assert "different nodes" in capsys.readouterr().err
 
 
-def test_delta_zero_is_a_usage_error(tmp_path, toy_csv, capsys):
-    rc = main(["count", "--input", str(toy_csv), "--delta", "0",
-               "--out", str(tmp_path / "out")])
+# argv (with {edges}, {counts}, {profiles} from the toy pipeline) and a
+# fragment of the message each rejected run prints
+USAGE_ERRORS = {
+    "count-delta-0": (["count", "--input", "{edges}", "--delta", "0"],
+                      "delta must be a positive finite number"),
+    "profile-min-motifs-negative": (
+        ["profile", "--counts", "{counts}", "--min-motifs", "-1"],
+        "min_motifs must be non-negative"),
+    "profile-min-motifs-99": (["profile", "--counts", "{counts}", "--min-motifs", "99"],
+                              "no node passes"),
+    "cluster-k-7": (["cluster", "--profiles", "{profiles}", "--k", "7"],
+                    "--k must be in 1..3"),
+    "render-nothing": (["render", "--profiles", "{profiles}"], "nothing to render"),
+    "simulate-no-source": (["simulate"], "exactly one of --scenario or --params"),
+    "eval-runs-0": (["eval", "--scenario", "2", "--runs", "0"], "at least one run"),
+    "eval-k-0": (["eval", "--scenario", "2", "--runs", "1", "--k", "0"],
+                 "k must be in 1.."),
+    "eval-min-motifs-negative": (
+        ["eval", "--scenario", "2", "--runs", "1", "--min-motifs", "-1"],
+        "min_motifs must be non-negative"),
+    "eval-no-source": (["eval", "--runs", "1"], "exactly one of --scenario or --params"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_writes_no_out_directory(tmp_path, toy_csv, capsys, case):
+    cdir, pdir, _ = run_pipeline(tmp_path, toy_csv)
+    argv, message = USAGE_ERRORS[case]
+    paths = {"edges": toy_csv, "counts": cdir / "counts.csv",
+             "profiles": pdir / "profiles.csv"}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main([a.format(**paths) for a in argv] + ["--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 def test_library_has_no_assert_statements():

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from motifroles.graph import (
     EdgeListError,
-    StaticDigraph,
     TemporalGraph,
-    aggregate_static,
     filter_nodes,
     largest_scc,
     parse_edge_list,
     serialize_edge_list,
-    strongly_connected_components,
     write_edge_list,
 )
 from synthdata import random_digraph_arcs, random_temporal_graph
@@ -126,29 +123,28 @@ def test_time_span():
         empty.time_span()
 
 
-def test_aggregate_static_toy():
-    g = parse_edge_list(io.StringIO(TOY_CSV))
-    s = aggregate_static(g)
-    assert s.named_arcs() == {("A", "B"), ("A", "C"), ("B", "A")}
-
-
-def test_aggregate_static_dedups_and_handles_empty():
-    g = TemporalGraph.from_named_edges(
-        [("A", "B", 1.0), ("A", "B", 2.0), ("A", "B", 3.0)]
-    )
-    assert aggregate_static(g).named_arcs() == {("A", "B")}
-    empty = TemporalGraph.from_named_edges([], extra_nodes=["A"])
-    assert aggregate_static(empty).named_arcs() == set()
+def _arc_graph(n, arcs):
+    """Temporal graph on nodes 0..n-1 with one edge per arc, in arc order."""
+    arcs = sorted(arcs)
+    return TemporalGraph([f"n{i}" for i in range(n)], [u for u, _ in arcs],
+                         [v for _, v in arcs], range(len(arcs)))
 
 
 def test_largest_scc_examples():
-    s = StaticDigraph(["A", "B", "C"], frozenset({(0, 1), (1, 0), (1, 2)}))
-    assert largest_scc(s) == {0, 1}
-    cyc = StaticDigraph(["A", "B", "C"], frozenset({(0, 1), (1, 2), (2, 0)}))
-    assert largest_scc(cyc) == {0, 1, 2}
+    assert largest_scc(_arc_graph(3, {(0, 1), (1, 0), (1, 2)})) == {0, 1}
+    assert largest_scc(_arc_graph(3, {(0, 1), (1, 2), (2, 0)})) == {0, 1, 2}
     # no arcs: every node is its own component, smallest index wins the tie
-    iso = StaticDigraph(["A", "B"], frozenset())
-    assert largest_scc(iso) == {0}
+    assert largest_scc(_arc_graph(2, set())) == {0}
+    assert largest_scc(_arc_graph(1, set())) == {0}
+    assert largest_scc(_arc_graph(0, set())) == frozenset()
+
+
+def test_largest_scc_counts_parallel_edges_once():
+    # 256 copies of A->B must not cancel out in the adjacency
+    g = TemporalGraph.from_named_edges(
+        [("A", "B", float(t)) for t in range(256)] + [("B", "A", 300.0), ("B", "C", 301.0)]
+    )
+    assert {g.node_names[i] for i in largest_scc(g)} == {"A", "B"}
 
 
 def _reachable(n, arcs, start):
@@ -181,16 +177,14 @@ def test_scc_matches_reachability_oracle():
     rng = np.random.default_rng(11)
     for _ in range(60):
         n, arcs = random_digraph_arcs(rng, max_nodes=12)
-        s = StaticDigraph([f"n{i}" for i in range(n)], frozenset(arcs))
-        got = {frozenset(c) for c in strongly_connected_components(s)}
-        assert got == _scc_oracle(n, arcs)
+        want = min(_scc_oracle(n, arcs), key=lambda c: (-len(c), min(c)))
+        assert largest_scc(_arc_graph(n, arcs)) == want
 
 
 def test_largest_scc_tie_break_smallest_min_index():
     # two disjoint 2-cycles: {0,1} and {2,3}
-    s = StaticDigraph(["w", "x", "y", "z"],
-                      frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}))
-    assert largest_scc(s) == {0, 1}
+    g = _arc_graph(4, {(0, 1), (1, 0), (2, 3), (3, 2)})
+    assert largest_scc(g) == {0, 1}
 
 
 def test_filter_nodes_toy():

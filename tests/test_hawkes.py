@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -128,6 +129,23 @@ class TestValidation:
             p.validate()
         with pytest.raises(ValueError):
             simulate(p, seed=0)
+
+    def test_list_block_pair_counts_toward_stability(self):
+        p = one_block_params(
+            n_nodes=3, excitations=[Excitation("self", [0, 0], alpha=1.5, beta=1.0)]
+        )
+        assert p.excitations[0].block_pair == (0, 0)
+        assert p.stability_margin() == pytest.approx(-0.5)
+        with pytest.raises(ValueError, match="unstable parameters"):
+            p.validate()
+
+    def test_block_pair_must_hold_two_blocks(self):
+        with pytest.raises(ValueError, match="two blocks"):
+            Excitation("self", (0, 0, 0), alpha=0.1, beta=1.0)
+        payload = json.loads(scenario_params(1).to_json())
+        payload["excitations"][0]["block_pair"] = [0, 0, 1]
+        with pytest.raises(ValueError, match="two blocks"):
+            BlockHawkesParams.from_json(json.dumps(payload))
 
     def test_fan_out_counts_toward_stability(self):
         # alpha=0.3 is stable for a lone pair but not once 4 third parties
