@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .table import table_text
+
 Edge = tuple[str, str]
 Signature = tuple[Edge, Edge, Edge]
 
@@ -219,7 +221,6 @@ def catalog_table() -> list[tuple[str, int, int, int, str, str, str]]:
 
 
 def catalog_table_csv() -> str:
-    lines = ["motif,row,col,nodes,edge1,edge2,edge3"]
-    for row in catalog_table():
-        lines.append(",".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
+    return table_text(
+        ("motif", "row", "col", "nodes", "edge1", "edge2", "edge3"), catalog_table()
+    )

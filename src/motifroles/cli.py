@@ -142,6 +142,8 @@ def _cmd_cluster(args) -> None:
 
 
 def _cmd_render(args) -> None:
+    if args.k is not None and not args.dendrogram:
+        raise ValueError("--k needs --dendrogram: it sets the dendrogram's cut")
     prof = read_profile_csv(args.profiles)
     inputs = {"profiles": args.profiles}
     svgs = {}

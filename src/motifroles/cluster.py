@@ -9,14 +9,13 @@ in the minimum Delta break toward the smallest (left, right) id pair.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from .table import read_table, write_table
 
 _HEIGHT_SLACK = 1e-9  # relative tolerance for the monotonicity check
 
@@ -296,32 +295,9 @@ def write_labels_csv(node_names: Sequence[str], labels, path, column: str) -> No
     arr = _as_labels(labels)
     if len(node_names) != arr.shape[0]:
         raise ValueError("name count does not match label count")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", column])
-    for name, lab in zip(node_names, arr):
-        writer.writerow([name, int(lab)])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    write_table(path, ("node", column), zip(node_names, arr.tolist()))
 
 
 def read_labels_csv(source, column: str) -> tuple[tuple[str, ...], np.ndarray]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_labels_csv(fh, column)
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None or tuple(header) != ("node", column):
-        raise ValueError(f"labels CSV: expected header node,{column}")
-    names: list[str] = []
-    labels: list[int] = []
-    for row in reader:
-        if len(row) != 2:
-            raise ValueError(f"labels CSV: row {reader.line_num}: wrong width")
-        names.append(row[0])
-        try:
-            labels.append(int(row[1]))
-        except ValueError:
-            raise ValueError(
-                f"labels CSV: row {reader.line_num}: non-integer label"
-            ) from None
-    return tuple(names), np.array(labels, dtype=np.int64)
+    _, names, rows = read_table(source, "labels CSV", [("node", column)], int)
+    return names, np.array(rows, dtype=np.int64).reshape(len(names))

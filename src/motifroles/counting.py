@@ -19,17 +19,15 @@ lists and is paired once. brute_force_count is the unrestricted oracle.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
 from . import catalog
 from .catalog import MotifId
 from .graph import TemporalEdge, TemporalGraph
+from .table import read_table, write_table
 
 TIE_POLICIES = ("seq-order", "exclude-ties")
 
@@ -94,66 +92,31 @@ class PositionCountMatrix:
     def total_instances(self) -> int:
         return int(self.motif_totals.sum())
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("node",) + catalog.CSV_COLUMNS)
-        flat = self.counts.reshape(self.n_nodes, catalog.N_CSV_CELLS)
-        for i, name in enumerate(self.node_names):
-            writer.writerow([name] + [int(x) for x in flat[i]])
-        return buf.getvalue()
-
     def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
-
-    def motif_totals_csv(self) -> str:
-        lines = ["motif,instances"]
-        for m in catalog.MOTIFS:
-            lines.append(f"{m.short},{int(self.motif_totals[m.index])}")
-        return "\n".join(lines) + "\n"
+        flat = self.counts.reshape(self.n_nodes, catalog.N_CSV_CELLS).tolist()
+        rows = ([name] + row for name, row in zip(self.node_names, flat))
+        write_table(path, ("node",) + catalog.CSV_COLUMNS, rows)
 
     def write_motif_totals_csv(self, path) -> None:
-        Path(path).write_text(self.motif_totals_csv(), encoding="utf-8")
+        rows = ((m.short, int(self.motif_totals[m.index])) for m in catalog.MOTIFS)
+        write_table(path, ("motif", "instances"), rows)
 
 
 def read_count_csv(source) -> PositionCountMatrix:
     """Load a counts CSV produced by PositionCountMatrix.write_csv."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_count_csv(fh)
-    reader = csv.reader(source)
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("counts CSV: missing header") from None
-    if header != ("node",) + catalog.CSV_COLUMNS:
-        raise ValueError("counts CSV: unexpected header layout")
-    names: list[str] = []
-    rows: list[list[int]] = []
-    for row in reader:
-        if len(row) != 1 + catalog.N_CSV_CELLS:
-            raise ValueError(f"counts CSV: row {reader.line_num}: wrong width")
-        names.append(row[0])
-        try:
-            rows.append([int(x) for x in row[1:]])
-        except ValueError:
-            raise ValueError(
-                f"counts CSV: row {reader.line_num}: non-integer cell"
-            ) from None
+    _, names, rows = read_table(source, "counts CSV", [("node",) + catalog.CSV_COLUMNS], int)
     counts = np.array(rows, dtype=np.int64).reshape(len(names), catalog.N_MOTIFS, 3)
-    if counts.size == 0:
-        counts = np.zeros((len(names), catalog.N_MOTIFS, 3), dtype=np.int64)
     if counts.min(initial=0) < 0:
         raise ValueError("counts CSV: negative cell")
     dead = counts[:, :, 2][:, ~catalog.LIVE_MASK[:, 2]]
-    if dead.size and dead.any():
+    if dead.any():
         raise ValueError("counts CSV: nonzero cell in a two-node position-3 column")
     cell_sums = counts.sum(axis=0).sum(axis=1)
     totals, rem = np.divmod(cell_sums, catalog.POSITIONS_PER_MOTIF)
     if rem.any():
         raise ValueError("counts CSV: cell sums inconsistent with motif arities")
     return PositionCountMatrix(
-        node_names=tuple(names),
+        node_names=names,
         counts=counts,
         motif_totals=totals.astype(np.int64),
         delta=None,

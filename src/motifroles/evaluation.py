@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +12,7 @@ from .cluster import centroids, cut, permutation_accuracy, ward_linkage
 from .counting import count_motifs
 from .hawkes import BlockHawkesParams, simulate
 from .profiles import build_positioned, build_positionless
+from .table import table_text, write_table
 
 # Positioned profile cells of the two-node motifs M5,1 M5,2 M6,1 M6,2, and
 # the reply cells whose position-1 and position-2 halves tell the sender
@@ -65,43 +63,22 @@ class EvalSummary:
         return float(col.std(ddof=1) / math.sqrt(col.size))
 
     def report(self) -> str:
-        lines = ["method,mean_accuracy,stderr"]
+        rows = []
         for kind in ("positioned", "positionless"):
             se = self.stderr_accuracy(kind)
             se_text = "n/a" if se is None else f"{se:.4f}"
-            lines.append(f"{kind},{self.mean_accuracy(kind):.4f},{se_text}")
-        return "\n".join(lines) + "\n"
-
-    def runs_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "seed",
-                "events",
-                "profiled",
-                "accuracy_positioned",
-                "accuracy_positionless",
-                "two_node_mass_min",
-                "position_split",
-            ]
-        )
-        for r in self.runs:
-            writer.writerow(
-                [
-                    r.seed,
-                    r.n_events,
-                    r.n_profiled,
-                    repr(r.accuracy_positioned),
-                    repr(r.accuracy_positionless),
-                    repr(min(r.two_node_mass)),
-                    int(r.split_ok),
-                ]
-            )
-        return buf.getvalue()
+            rows.append((kind, f"{self.mean_accuracy(kind):.4f}", se_text))
+        return table_text(("method", "mean_accuracy", "stderr"), rows)
 
     def write_runs_csv(self, path) -> None:
-        Path(path).write_text(self.runs_csv(), encoding="utf-8")
+        header = ("seed", "events", "profiled", "accuracy_positioned",
+                  "accuracy_positionless", "two_node_mass_min", "position_split")
+        rows = (
+            (r.seed, r.n_events, r.n_profiled, r.accuracy_positioned,
+             r.accuracy_positionless, min(r.two_node_mass), int(r.split_ok))
+            for r in self.runs
+        )
+        write_table(path, header, rows)
 
 
 def evaluate_run(

@@ -12,6 +12,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from .table import table_text, write_table
+
 EDGE_LIST_HEADER = ("source", "target", "timestamp")
 
 
@@ -165,16 +167,16 @@ def _parse_row(row: list[str], line: int) -> tuple[str, str, float]:
     return s, t, ts
 
 
-def parse_edge_list(source, delimiter: str = ",") -> TemporalGraph:
-    """Parse a delimited edge list with header source,target,timestamp.
+def parse_edge_list(source) -> TemporalGraph:
+    """Parse a CSV edge list with header source,target,timestamp.
 
     `source` may be a path or an open text stream. Node names are interned
     in order of first appearance; edge seq is the data-row order.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_edge_list(fh, delimiter=delimiter)
-    reader = csv.reader(source, delimiter=delimiter)
+            return parse_edge_list(fh)
+    reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
@@ -189,20 +191,19 @@ def parse_edge_list(source, delimiter: str = ",") -> TemporalGraph:
     return TemporalGraph.from_named_edges(triples)
 
 
-def serialize_edge_list(g: TemporalGraph, delimiter: str = ",") -> str:
+def _edge_rows(g: TemporalGraph):
+    names = g.node_names
+    for u, v, t in zip(g.src.tolist(), g.tgt.tolist(), g.time.tolist()):
+        yield names[u], names[v], t
+
+
+def serialize_edge_list(g: TemporalGraph) -> str:
     """Edge list in sorted order; timestamps keep full precision."""
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(EDGE_LIST_HEADER)
-    for u, v, t in zip(g.src, g.tgt, g.time):
-        writer.writerow([g.node_names[int(u)], g.node_names[int(v)], repr(float(t))])
-    return buf.getvalue()
+    return table_text(EDGE_LIST_HEADER, _edge_rows(g))
 
 
-def write_edge_list(g: TemporalGraph, path, delimiter: str = ",") -> None:
-    Path(path).write_text(serialize_edge_list(g, delimiter), encoding="utf-8")
+def write_edge_list(g: TemporalGraph, path) -> None:
+    write_table(path, EDGE_LIST_HEADER, _edge_rows(g))
 
 
 def largest_scc(g: TemporalGraph) -> frozenset[int]:

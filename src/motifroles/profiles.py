@@ -8,15 +8,13 @@ falls below the filter threshold (or is zero) are dropped and reported.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import catalog
 from .counting import PositionCountMatrix
+from .table import read_table, write_table
 
 PROFILE_KINDS = ("positioned", "positionless")
 
@@ -62,31 +60,19 @@ class ProfileMatrix:
             raise KeyError(f"no {self.kind} column {column!r}")
         return float(self.vectors[self.node_names.index(name), cols.index(column)])
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    def write_csv(self, path) -> None:
         if self.kind == "positioned":
-            writer.writerow(("node",) + catalog.CSV_COLUMNS)
+            header = ("node",) + catalog.CSV_COLUMNS
             wide = np.zeros((self.n_profiled, catalog.N_CSV_CELLS))
             wide[:, catalog.LIVE_FLAT] = self.vectors
         else:
-            writer.writerow(("node",) + catalog.MOTIF_COLUMNS)
+            header = ("node",) + catalog.MOTIF_COLUMNS
             wide = self.vectors
-        for i, name in enumerate(self.node_names):
-            writer.writerow([name] + [repr(float(x)) for x in wide[i]])
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
-
-    def dropped_csv(self) -> str:
-        lines = ["node,total_participation"]
-        for name, total in self.dropped:
-            lines.append(f"{name},{total}")
-        return "\n".join(lines) + "\n"
+        rows = ([name] + row for name, row in zip(self.node_names, wide.tolist()))
+        write_table(path, header, rows)
 
     def write_dropped_csv(self, path) -> None:
-        Path(path).write_text(self.dropped_csv(), encoding="utf-8")
+        write_table(path, ("node", "total_participation"), self.dropped)
 
 
 def _build(counts: PositionCountMatrix, min_motifs: int, kind: str) -> ProfileMatrix:
@@ -123,51 +109,26 @@ def build_positionless(counts: PositionCountMatrix, min_motifs: int = 0) -> Prof
 
 def read_profile_csv(source) -> ProfileMatrix:
     """Load a profile CSV; the kind is recovered from the header."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_profile_csv(fh)
-    reader = csv.reader(source)
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValueError("profile CSV: missing header") from None
-    if header == ("node",) + catalog.CSV_COLUMNS:
-        kind = "positioned"
-    elif header == ("node",) + catalog.MOTIF_COLUMNS:
-        kind = "positionless"
-    else:
-        raise ValueError("profile CSV: unexpected header layout")
-    names: list[str] = []
-    rows: list[list[float]] = []
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(f"profile CSV: row {reader.line_num}: wrong width")
-        names.append(row[0])
-        try:
-            rows.append([float(x) for x in row[1:]])
-        except ValueError:
-            raise ValueError(
-                f"profile CSV: row {reader.line_num}: non-numeric cell"
-            ) from None
-    wide = np.array(rows, dtype=np.float64)
-    if wide.size == 0:
-        wide = wide.reshape(0, len(header) - 1)
+    positioned = ("node",) + catalog.CSV_COLUMNS
+    header, names, rows = read_table(
+        source, "profile CSV", [positioned, ("node",) + catalog.MOTIF_COLUMNS], float
+    )
+    kind = "positioned" if header == positioned else "positionless"
+    wide = np.array(rows, dtype=np.float64).reshape(len(names), len(header) - 1)
     if kind == "positioned":
         dead = np.setdiff1d(np.arange(catalog.N_CSV_CELLS), catalog.LIVE_FLAT)
-        if wide.size and wide[:, dead].any():
+        if wide[:, dead].any():
             raise ValueError("profile CSV: nonzero value in a structurally dead column")
         vectors = wide[:, catalog.LIVE_FLAT]
     else:
         vectors = wide
-    if vectors.size:
-        if vectors.min() < 0:
-            raise ValueError("profile CSV: negative value")
-        sums = vectors.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValueError("profile CSV: row does not sum to one")
+    if vectors.min(initial=0.0) < 0:
+        raise ValueError("profile CSV: negative value")
+    if np.any(np.abs(vectors.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("profile CSV: row does not sum to one")
     return ProfileMatrix(
         kind=kind,
-        node_names=tuple(names),
+        node_names=names,
         vectors=vectors,
         totals=np.zeros(len(names), dtype=np.int64),
         dropped=(),

@@ -182,6 +182,9 @@ USAGE_ERRORS = {
     "cluster-k-7": (["cluster", "--profiles", "{profiles}", "--k", "7"],
                     "--k must be in 1..3"),
     "render-nothing": (["render", "--profiles", "{profiles}"], "nothing to render"),
+    "render-k-without-dendrogram": (
+        ["render", "--profiles", "{profiles}", "--node", "A", "--k", "5"],
+        "--k needs --dendrogram"),
     "simulate-no-source": (["simulate"], "exactly one of --scenario or --params"),
     "eval-runs-0": (["eval", "--scenario", "2", "--runs", "0"], "at least one run"),
     "eval-k-0": (["eval", "--scenario", "2", "--runs", "1", "--k", "0"],
@@ -219,6 +222,37 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_csv_format_lives_in_the_table_module():
+    # table.py alone writes CSV; graph.py may read it, for the edge list's
+    # own line-numbered errors
+    package = Path(motifroles.__file__).parent
+    importers, writers = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                importers.add(path.name)
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv"):
+                writers.add(path.name)
+    assert importers <= {"table.py", "graph.py"}
+    assert writers == {"table.py"}
+
+
+def test_repeated_profile_row_is_rejected(tmp_path, toy_csv, capsys):
+    _, pdir, _ = run_pipeline(tmp_path, toy_csv)
+    lines = (pdir / "profiles.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[1].startswith("A,")
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["cluster", "--profiles", str(repeated), "--k", "2", "--out", str(out)])
+    assert rc == 1
+    assert "profile CSV: row 5: node 'A' repeats" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_is_an_io_error(tmp_path, capsys):
@@ -364,19 +398,21 @@ def test_catalog_to_directory(tmp_path):
     check_manifest(out, "catalog")
 
 
-def _renamed_toy_pipeline(tmp_path, name):
-    """count -> profile -> cluster on the toy network with node A renamed;
+def _renamed_toy_pipeline(tmp_path, name, node="A", min_motifs=0):
+    """count -> profile -> cluster on the toy network with `node` renamed;
     returns the exit codes and the stage directories."""
     edges = tmp_path / "edges.csv"
     with open(edges, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # quoting every cell keeps a carriage return inside its name
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(("source", "target", "timestamp"))
         for s, t, x in TOY_EDGES:
-            writer.writerow([name if v == "A" else v for v in (s, t)] + [repr(x)])
+            writer.writerow([name if v == node else v for v in (s, t)] + [repr(x)])
     cdir, pdir, kdir = tmp_path / "c", tmp_path / "p", tmp_path / "k"
     codes = [
         main(["count", "--input", str(edges), "--delta", "10", "--out", str(cdir)]),
-        main(["profile", "--counts", str(cdir / "counts.csv"), "--out", str(pdir)]),
+        main(["profile", "--counts", str(cdir / "counts.csv"),
+              "--min-motifs", str(min_motifs), "--out", str(pdir)]),
         main(["cluster", "--profiles", str(pdir / "profiles.csv"), "--k", "2",
               "--out", str(kdir)]),
     ]
@@ -403,6 +439,26 @@ def test_line_feed_name_is_rejected_by_cluster(tmp_path, capsys):
     rdir = tmp_path / "r"
     assert main(["render", "--profiles", str(pdir / "profiles.csv"),
                  "--node", name, "--out", str(rdir)]) == 0
+
+
+def test_carriage_return_name_is_rejected_by_cluster(tmp_path, capsys):
+    # minimal quoting alone would leave the carriage return bare in the CSVs
+    name = "A\rX"
+    codes, pdir, kdir = _renamed_toy_pipeline(tmp_path, name)
+    assert codes == [0, 0, 1]
+    assert repr(name) in capsys.readouterr().err
+    with open(pdir / "profiles.csv", encoding="utf-8", newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["node", name, "B", "C"]
+
+
+@pytest.mark.parametrize("name", ["X,Y", 'Q"R'])
+def test_dropped_name_with_comma_or_quote_reads_back(tmp_path, name):
+    # C takes part in 3 toy instances, A and B in 4 each
+    codes, pdir, _ = _renamed_toy_pipeline(tmp_path, name, node="C", min_motifs=4)
+    assert codes == [0, 0, 0]
+    with open(pdir / "dropped.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["node", "total_participation"], [name, "3"]]
 
 
 @pytest.mark.parametrize("module", ["motifroles", "motifroles.cli"])

@@ -249,8 +249,14 @@ def test_per_motif_accounting(seed):
             assert c.counts[:, m.index, 2].sum() == 0
 
 
-def test_csv_round_trip(toy_counts):
-    text = toy_counts.to_csv()
+def _counts_text(tmp_path, counts):
+    path = tmp_path / "counts.csv"
+    counts.write_csv(path)
+    return path.read_text(encoding="utf-8")
+
+
+def test_csv_round_trip(tmp_path, toy_counts):
+    text = _counts_text(tmp_path, toy_counts)
     back = read_count_csv(io.StringIO(text))
     assert back.node_names == toy_counts.node_names
     assert np.array_equal(back.counts, toy_counts.counts)
@@ -269,8 +275,8 @@ def test_csv_write_and_read_files(tmp_path, toy_counts):
     assert np.array_equal(back.counts, toy_counts.counts)
 
 
-def test_read_count_csv_rejects_bad_input(toy_counts):
-    good = toy_counts.to_csv().splitlines()
+def test_read_count_csv_rejects_bad_input(tmp_path, toy_counts):
+    good = _counts_text(tmp_path, toy_counts).splitlines()
     with pytest.raises(ValueError):
         read_count_csv(io.StringIO("node,M11_p1\nA,1\n"))
     # nonzero value in a dead two-node position-3 column
@@ -290,8 +296,10 @@ def test_read_count_csv_rejects_bad_input(toy_counts):
         read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
 
 
-def test_motif_totals_csv(toy_counts):
-    lines = toy_counts.motif_totals_csv().strip().splitlines()
+def test_motif_totals_csv(tmp_path, toy_counts):
+    path = tmp_path / "motif_totals.csv"
+    toy_counts.write_motif_totals_csv(path)
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "motif,instances"
     assert len(lines) == 37
     by_name = dict(line.split(",") for line in lines[1:])
@@ -374,6 +382,7 @@ def test_candidates_lie_between_instances_and_window_triples(seed, integer_times
         assert counted.total_instances() <= counted.candidates <= window_triples
 
 
-def test_candidates_are_none_when_not_counted(toy_counts):
+def test_candidates_are_none_when_not_counted(tmp_path, toy_counts):
     assert toy_counts.candidates == 4
-    assert read_count_csv(io.StringIO(toy_counts.to_csv())).candidates is None
+    text = _counts_text(tmp_path, toy_counts)
+    assert read_count_csv(io.StringIO(text)).candidates is None

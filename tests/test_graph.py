@@ -57,12 +57,6 @@ def test_parse_rejects_missing_or_wrong_header():
         parse_edge_list(io.StringIO(""))
 
 
-def test_parse_tsv_delimiter():
-    g = parse_edge_list(io.StringIO("source\ttarget\ttimestamp\nA\tB\t1\n"),
-                        delimiter="\t")
-    assert g.named_edges() == [("A", "B", 1.0)]
-
-
 def test_sort_is_stable_on_equal_timestamps():
     g = TemporalGraph.from_named_edges(
         [("A", "B", 5.0), ("B", "C", 5.0), ("C", "A", 5.0)]

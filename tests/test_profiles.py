@@ -147,19 +147,25 @@ def test_filter_monotonicity(seed, lo, extra):
     assert set(big.node_names) <= set(small.node_names)
 
 
-def test_csv_round_trip(toy_counts):
+def _profiles_text(tmp_path, p):
+    path = tmp_path / "profiles.csv"
+    p.write_csv(path)
+    return path.read_text(encoding="utf-8")
+
+
+def test_csv_round_trip(tmp_path, toy_counts):
     for build, width in ((build_positioned, 104), (build_positionless, 36)):
         p = build(toy_counts, min_motifs=0)
         assert p.width == width
-        back = read_profile_csv(io.StringIO(p.to_csv()))
+        back = read_profile_csv(io.StringIO(_profiles_text(tmp_path, p)))
         assert back.kind == p.kind
         assert back.node_names == p.node_names
         assert np.array_equal(back.vectors, p.vectors)
 
 
-def test_positioned_csv_has_dead_columns(toy_counts):
+def test_positioned_csv_has_dead_columns(tmp_path, toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
-    lines = p.to_csv().splitlines()
+    lines = _profiles_text(tmp_path, p).splitlines()
     header = lines[0].split(",")
     assert len(header) == 109
     dead = header.index("M51_p3")
@@ -167,9 +173,9 @@ def test_positioned_csv_has_dead_columns(toy_counts):
         assert line.split(",")[dead] == "0.0"
 
 
-def test_read_profile_csv_rejects_bad_input(toy_counts):
+def test_read_profile_csv_rejects_bad_input(tmp_path, toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
-    lines = p.to_csv().splitlines()
+    lines = _profiles_text(tmp_path, p).splitlines()
     header = lines[0].split(",")
     dead = header.index("M61_p3")
     row = lines[1].split(",")
@@ -186,11 +192,13 @@ def test_read_profile_csv_rejects_bad_input(toy_counts):
         read_profile_csv(io.StringIO("node,bogus\nA,1.0\n"))
 
 
-def test_dropped_csv(toy_counts):
+def test_dropped_csv(tmp_path, toy_counts):
     counts = np.array(toy_counts.counts)
     m = matrix_from_counts(toy_counts.node_names, counts)
     p = build_positioned(m, min_motifs=4)
-    lines = p.dropped_csv().strip().splitlines()
+    path = tmp_path / "dropped.csv"
+    p.write_dropped_csv(path)
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "node,total_participation"
     assert lines[1] == "C,3"
     assert p.node_names == ("A", "B")
