@@ -1,9 +1,9 @@
 """Grid-search helper used to pick the shipped scenario parameters.
 
 For each candidate parameter set this script runs the library's study
-loop (motifroles.evaluation.evaluate_run: simulate -> count -> profile ->
-cluster -> score) over a seed range and reports every margin the
-acceptance gate checks:
+loop (motifroles.evaluation.evaluate_scenario: simulate -> count ->
+profile -> cluster -> score, one forked worker per usable CPU) over a seed
+range and reports every margin the acceptance gate checks:
 
     acc_pos / acc_nopos   mean 2-cluster accuracy, positioned vs positionless
     gap                   acc_pos - acc_nopos
@@ -25,14 +25,14 @@ import time
 
 import numpy as np
 
-from motifroles.evaluation import evaluate_run
+from motifroles.evaluation import evaluate_scenario
 from motifroles.hawkes import BlockHawkesParams, Excitation
 
 
 def score_candidate(name: str, params: BlockHawkesParams, delta: float,
                     seeds: range) -> None:
     t0 = time.time()
-    runs = [evaluate_run(params, delta, s, k=2, min_motifs=10) for s in seeds]
+    runs = evaluate_scenario(params, delta, seeds, k=2, min_motifs=10).runs
     acc_pos = np.mean([r.accuracy_positioned for r in runs])
     acc_nopos = np.mean([r.accuracy_positionless for r in runs])
     two_node = [min(r.two_node_mass) for r in runs]

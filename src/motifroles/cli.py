@@ -237,6 +237,8 @@ def _cmd_eval(args) -> None:
         "base_seed": args.seed,
         "k": args.k,
         "min_motifs": args.min_motifs,
+        "events": sum(r.n_events for r in summary.runs),
+        "candidates": sum(r.candidates for r in summary.runs),
     }
     inputs = {} if args.params is None else {"params": args.params}
     _write_manifest(out, "eval", config, inputs)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +30,12 @@ REPLY_P2 = np.array([POSITIONED_CELL_NAMES.index(c) for c in ("M51_p2", "M52_p2"
 class RunResult:
     """One scored run. two_node_mass holds each positioned centroid's mass
     on the two-node cells; split_ok is true when the centroids do not all
-    lean the same way on the position-1 reply cells against position 2."""
+    lean the same way on the position-1 reply cells against position 2.
+    candidates counts the simulator's thinning candidates."""
 
     seed: int
     n_events: int
+    candidates: int
     n_profiled: int
     accuracy_positioned: float
     accuracy_positionless: float
@@ -113,12 +117,21 @@ def evaluate_run(
     return RunResult(
         seed=seed,
         n_events=net.graph.n_edges,
+        candidates=net.candidates,
         n_profiled=prof.n_profiled,
         accuracy_positioned=results["positioned"],
         accuracy_positionless=results["positionless"],
         two_node_mass=tuple(float(m[TWO_NODE_CELLS].sum()) for m in means),
         split_ok=len(leans_p1) > 1,
     )
+
+
+def usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def evaluate_scenario(
@@ -128,10 +141,30 @@ def evaluate_scenario(
     k: int = 2,
     min_motifs: int = 0,
 ) -> EvalSummary:
-    runs = tuple(
-        evaluate_run(params, delta, int(seed), k=k, min_motifs=min_motifs)
-        for seed in seeds
-    )
-    if not runs:
+    """evaluate_run on every seed, results in seed order.
+
+    The seeds run in forked worker processes, one per usable CPU, where the
+    platform can fork and more than one CPU and seed are at hand; otherwise
+    in this process. Each run draws and computes the same either way, so
+    the summary does not depend on the CPU count, and a failing run raises
+    the error of the first failing seed in seed order.
+    """
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
         raise ValueError("need at least one run")
+    run = functools.partial(evaluate_run, params, delta, k=k, min_motifs=min_motifs)
+    workers = min(usable_cpus(), len(seeds))
+    # imported here, not at module top, so CLI start-up does not pay for them
+    import multiprocessing
+
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        runs = tuple(map(run, seeds))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker imports numpy and scipy afresh,
+        # which costs more than a whole run
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            runs = tuple(pool.map(run, seeds))
     return EvalSummary(runs=runs, delta=float(delta), k=k)

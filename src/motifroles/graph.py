@@ -178,16 +178,16 @@ def parse_edge_list(source) -> TemporalGraph:
             return parse_edge_list(fh)
     reader = csv.reader(source)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EdgeListError("line 1: missing header") from None
-    if tuple(h.strip().lower() for h in header) != EDGE_LIST_HEADER:
-        raise EdgeListError(
-            f"line 1: expected header {','.join(EDGE_LIST_HEADER)!r}"
-        )
-    triples = []
-    for row in reader:
-        triples.append(_parse_row(row, reader.line_num))
+        header = next(reader, None)
+        if header is None:
+            raise EdgeListError("line 1: missing header")
+        if tuple(h.strip().lower() for h in header) != EDGE_LIST_HEADER:
+            raise EdgeListError(
+                f"line 1: expected header {','.join(EDGE_LIST_HEADER)!r}"
+            )
+        triples = [_parse_row(row, reader.line_num) for row in reader]
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise EdgeListError(f"line {reader.line_num}: {exc}") from None
     return TemporalGraph.from_named_edges(triples)
 
 

@@ -370,7 +370,11 @@ def test_eval_smoke(tmp_path, capsys):
     summary = (out / "summary.csv").read_text().strip().splitlines()
     assert summary[0] == "method,mean_accuracy,stderr"
     assert len(summary) == 3
-    check_manifest(out, "eval")
+    config = check_manifest(out, "eval")["config"]
+    events = [int(row.split(",")[1]) for row in runs[1:]]
+    assert config["events"] == sum(events)
+    # thinning draws at least one candidate per accepted event
+    assert config["candidates"] >= config["events"]
 
 
 def test_eval_with_params_file_requires_delta(tmp_path, capsys):
@@ -479,3 +483,15 @@ def test_count_reports_candidate_triples(tmp_path, toy_csv, capsys):
                  "--out", str(out)]) == 0
     assert "(4 candidate triples)" in capsys.readouterr().out
     assert check_manifest(out, "count")["config"]["candidate_triples"] == 4
+
+
+def test_count_rejects_an_oversized_field(tmp_path, capsys):
+    # the csv module refuses fields over 131,072 characters
+    edges = tmp_path / "edges.csv"
+    edges.write_text("source,target,timestamp\n" + "A" * 200_000 + ",B,1\n")
+    out = tmp_path / "out"
+    assert main(["count", "--input", str(edges), "--delta", "1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: field larger than field limit")
+    assert not out.exists()
