@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -16,7 +17,7 @@ from motifroles.counting import (
 )
 from motifroles.graph import TemporalEdge, TemporalGraph
 from conftest import TOY_DELTA, toy_expected_counts
-from synthdata import random_temporal_graph
+from synthdata import mid_scale_network, random_temporal_graph
 
 
 def e(s, t, time, seq):
@@ -386,3 +387,37 @@ def test_candidates_are_none_when_not_counted(tmp_path, toy_counts):
     assert toy_counts.candidates == 4
     text = _counts_text(tmp_path, toy_counts)
     assert read_count_csv(io.StringIO(text)).candidates is None
+
+
+# Recorded from the counter before its per-member rewrite; counts_sha256 is
+# the digest of the little-endian int64 counts array.
+PINNED_MID_SCALE = {
+    "seq-order": (
+        12824,
+        "a28d372f96810aef556dc88c7f4393e89133279b2e4f84f22b577c57486bd507",
+        [232, 222, 140, 153, 227, 244, 210, 236, 184, 156, 232, 221, 224, 230,
+         240, 244, 143, 172, 179, 194, 221, 224, 185, 171, 1108, 955, 239, 254,
+         205, 248, 944, 1046, 258, 229, 195, 213],
+    ),
+    "exclude-ties": (
+        12824,
+        "e3b7e1a6d6bb90cbbadf2a42bf0a616f548bc4a0c1b8b757bd3f5d07778e2d47",
+        [161, 171, 102, 107, 159, 172, 152, 174, 126, 107, 164, 170, 153, 167,
+         178, 176, 109, 119, 130, 134, 162, 161, 136, 127, 795, 683, 170, 192,
+         151, 181, 684, 727, 191, 152, 133, 156],
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("policy", counting.TIE_POLICIES)
+def test_mid_scale_counts_are_pinned(monkeypatch, chunk, policy):
+    if chunk is not None:
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+    g = mid_scale_network(seed=4, n_edges=2000)
+    counted = count_motifs(g, 7.0, tie_policy=policy)
+    candidates, digest, totals = PINNED_MID_SCALE[policy]
+    le = np.ascontiguousarray(counted.counts, dtype="<i8")
+    assert hashlib.sha256(le.tobytes()).hexdigest() == digest
+    assert counted.motif_totals.tolist() == totals
+    assert counted.candidates == candidates

@@ -228,3 +228,97 @@ def test_graph_equality_ignores_name_table_order():
     assert g1 == g2
     g3 = TemporalGraph.from_named_edges([("A", "B", 2.0)], extra_nodes=["C"])
     assert g1 != g3
+
+
+HEADER = "source,target,timestamp\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("A,B\n", "line 2: expected 3 fields, got 2"),
+        ("A,B,1\nA,B,1,2\n", "line 3: expected 3 fields, got 4"),
+        ("A,B,1\n\n", "line 3: expected 3 fields, got 0"),
+        (" ,B,1\n", "line 2: empty node name"),
+        ("A,,1\n", "line 2: empty node name"),
+        ("A,B, xyz \n", "line 2: bad timestamp 'xyz'"),
+        ("A,B,\n", "line 2: bad timestamp ''"),
+        ("A,B,nan\n", "line 2: non-finite timestamp 'nan'"),
+        ("A,B,1\nB,A,-inf\n", "line 3: non-finite timestamp '-inf'"),
+        ("A, A ,1\n", "line 2: self-loop on node 'A'"),
+    ],
+)
+def test_parse_error_messages(rows, message):
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(io.StringIO(HEADER + rows))
+    assert str(info.value) == message
+
+
+def test_parse_header_messages():
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(io.StringIO(""))
+    assert str(info.value) == "line 1: missing header"
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(io.StringIO("src,dst,when\n"))
+    assert str(info.value) == "line 1: expected header 'source,target,timestamp'"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (",B,1,2\n", "expected 3 fields, got 4"),
+        (",A,xyz\n", "empty node name"),
+        ("A,A,xyz\n", "bad timestamp 'xyz'"),
+        ("A,A,inf\n", "non-finite timestamp 'inf'"),
+    ],
+)
+def test_parse_reports_the_first_fault_of_a_row(row, message):
+    # checks run in order: width, empty name, bad and non-finite
+    # timestamp, self-loop
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(io.StringIO(HEADER + row))
+    assert str(info.value) == f"line 2: {message}"
+
+
+def test_parse_line_numbers_count_physical_lines():
+    # a quoted name spanning two lines moves every later line number down
+    text = HEADER + '"A\nX",B,1\nB,C,2\nC,C,3\n'
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(io.StringIO(text))
+    assert str(info.value) == "line 5: self-loop on node 'C'"
+    g = parse_edge_list(io.StringIO(HEADER + '"A\nX",B,1\n'))
+    assert g.node_names == ("A\nX", "B")
+
+
+def test_parse_strips_names_and_timestamps():
+    g = parse_edge_list(io.StringIO(HEADER + " A , B C ,\t2.5 \nB C,A,1\n"))
+    assert g.node_names == ("A", "B C")
+    assert g.named_edges() == [("B C", "A", 1.0), ("A", "B C", 2.5)]
+    assert list(g.seq) == [1, 0]
+
+
+def test_parse_interns_names_in_order_of_first_appearance():
+    g = parse_edge_list(io.StringIO(HEADER + "C,A,3\nB,C,1\nA,D,2\n"))
+    assert g.node_names == ("C", "A", "B", "D")
+    assert g.src.tolist() == [2, 1, 0] and g.tgt.tolist() == [0, 3, 1]
+
+
+@given(st.lists(st.integers(0, 4), min_size=0, max_size=40), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_stored_order_is_time_then_seq(times, rnd):
+    m = len(times)
+    seq = list(range(0, 3 * m, 3))
+    rnd.shuffle(seq)
+    src = [i % 3 for i in range(m)]
+    tgt = [(i + 1) % 3 for i in range(m)]
+    g = TemporalGraph(["a", "b", "c"], src, tgt, [float(t) for t in times], seq)
+    order = np.lexsort((np.array(seq, dtype=np.int64), np.array(times, dtype=float)))
+    assert g.seq.tolist() == np.array(seq, dtype=np.int64)[order].tolist()
+    assert g.time.tolist() == np.array(times, dtype=float)[order].tolist()
+    assert g.src.tolist() == np.array(src, dtype=np.int64)[order].tolist()
+
+
+def test_duplicate_seq_apart_in_input_and_in_time_raises():
+    with pytest.raises(ValueError, match="unique"):
+        TemporalGraph(["A", "B"], [0, 1, 0, 1], [1, 0, 1, 0],
+                      [1.0, 2.0, 3.0, 4.0], seq=[7, 2, 5, 7])
