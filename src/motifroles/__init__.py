@@ -40,7 +40,6 @@ from .graph import (
     filter_nodes,
     largest_scc,
     parse_edge_list,
-    serialize_edge_list,
     write_edge_list,
 )
 from .hawkes import (
@@ -105,7 +104,6 @@ __all__ = [
     "scenario_delta",
     "scenario_params",
     "serialize_dendrogram",
-    "serialize_edge_list",
     "signature_of",
     "simulate",
     "ward_linkage",

@@ -26,7 +26,7 @@ from .cluster import (
     ward_linkage,
     write_labels_csv,
 )
-from .counting import count_motifs, read_count_csv
+from .counting import candidate_bound, count_motifs, read_count_csv
 from .evaluation import evaluate_scenario
 from .graph import filter_nodes, largest_scc, parse_edge_list, write_edge_list
 from .hawkes import (
@@ -82,6 +82,9 @@ def _cmd_count(args) -> None:
         component = largest_scc(graph)
         scc_kept = sorted(graph.node_names[i] for i in component)
         graph = filter_nodes(graph, component)
+    bound = candidate_bound(graph, args.delta)
+    print(f"count: at most {bound} candidate triples to classify "
+          f"(delta={args.delta:g})", file=sys.stderr)
     counts = count_motifs(graph, args.delta, _TIE_FLAG[args.ties])
     out = _prepare_out(args.out)
     counts.write_csv(out / "counts.csv")
@@ -93,6 +96,8 @@ def _cmd_count(args) -> None:
         "scc": bool(args.scc),
         "scc_nodes": scc_kept,
         "candidate_triples": counts.candidates,
+        "candidate_bound": bound,
+        "instances": counts.total_instances(),
     }
     _write_manifest(out, "count", config, {"edges": args.input})
     print(f"counted {counts.total_instances()} motif instances "

@@ -15,6 +15,14 @@ nodes are u, v and at most one third node w, and no edge is a
 self-loop, so each of its edges joins two distinct nodes of {u, v, w}
 and touches u or v. An edge joining u and v sits in both endpoints'
 lists and is paired once. brute_force_count is the unrestricted oracle.
+
+Each first edge's group of members is put in time order and every member
+is classified once against the first edge: its endpoint codes relative
+to (u, v) and its third node, if it has one. A member pair x < y then
+only reads both members' codes and third nodes, tests that the third
+nodes agree and looks its key up in catalog.KEY_TO_MOTIF_INDEX. First edges and member pairs go
+through numpy in blocks of at most _CHUNK triples, sized so that a
+block's arrays stay in the CPU cache.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .table import read_table, write_table
 
 TIE_POLICIES = ("seq-order", "exclude-ties")
 
-_CHUNK = 1 << 19  # triples per vectorized classification batch
+_CHUNK = 1 << 15  # triples per classification block, sized to stay in cache
 
 
 def _check_delta(delta: float) -> float:
@@ -188,14 +196,17 @@ def brute_force_count(
 
 
 def _window_ends(time: np.ndarray, delta: float) -> np.ndarray:
-    """ends[i] = largest k with time[k] - time[i] <= delta.
+    """ends[i] = largest k with time[k] - time[i] <= delta, for sorted time.
 
     searchsorted on time[i] + delta gets close; float addition and
     subtraction can round differently, so each boundary then steps over
     distinct timestamps until it agrees exactly with the subtraction
     predicate used everywhere else.
     """
-    uniq, first = np.unique(time, return_index=True)
+    starts = np.ones(time.shape, dtype=bool)
+    starts[1:] = time[1:] != time[:-1]
+    first = np.flatnonzero(starts)
+    uniq = time[first]
     last = np.append(first[1:], time.shape[0]) - 1
     b = np.searchsorted(uniq, time + delta, side="right") - 1
     uniq = np.append(uniq, np.inf)  # sentinel, never inside a window
@@ -222,74 +233,78 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
 
-def _triples(g: TemporalGraph, ends: np.ndarray):
-    """Yield blocks (ii, jj, kk) of candidate triples: every i < j < k with
-    j, k in (i, ends[i]] and both touching an endpoint of edge i. A block
-    holds at most _CHUNK triples unless one j alone pairs with more."""
+def _incidence(g: TemporalGraph, ends: np.ndarray):
+    """Per-node incidence lists in time order, concatenated as one array of
+    edges, and each edge i's window (i, ends[i]] in its endpoints' lists as
+    start and length: entry 2i is in its source's list, 2i + 1 in its
+    target's."""
     m = g.n_edges
     e = np.arange(m)
-    # per-node incidence lists in time order, as one sorted key array
-    keys = np.sort(np.concatenate((g.src * m + e, g.tgt * m + e)))
-    # lo/lens entry 2i: edge i's window in its source's list; 2i + 1: target's
-    base = np.stack((g.src, g.tgt), axis=1).ravel() * m
-    lo = np.searchsorted(keys, base + np.repeat(e, 2), side="right")
-    lens = np.searchsorted(keys, base + np.repeat(ends, 2), side="right") - lo
-    width = lens.reshape(m, 2).sum(axis=1)
-    for i0, i1 in _blocks(width * (width - 1) // 2):
+    # sorting (node·m + edge)·2 + side orders the lists and keeps each
+    # entry's slot 2·edge + side
+    keys = np.sort(np.concatenate(((g.src * m + e) * 2, (g.tgt * m + e) * 2 + 1)))
+    node_edge = keys >> 1
+    edges = node_edge % m
+    slot = edges * 2 + (keys & 1)
+    after = np.arange(1, 2 * m + 1)
+    # window ends never decrease along a list, so the queries come sorted
+    hi = np.searchsorted(node_edge, node_edge - edges + ends[edges], side="right")
+    lo = np.empty(2 * m, dtype=np.int64)
+    lens = np.empty(2 * m, dtype=np.int64)
+    lo[slot] = after
+    lens[slot] = hi - after
+    return edges, lo, lens
+
+
+def _pair_weights(lens: np.ndarray) -> np.ndarray:
+    """C(width, 2) per first edge, width being both endpoints' list windows."""
+    width = lens.reshape(-1, 2).sum(axis=1)
+    return width * (width - 1) // 2
+
+
+def candidate_bound(g: TemporalGraph, delta: float) -> int:
+    """Upper bound on the triples count_motifs classifies: the sum over
+    first edges of C(width, 2), computed in O(m log m) without
+    enumerating. An edge joining both endpoints counts twice in width."""
+    *_, lens = _incidence(g, _window_ends(g.time, _check_delta(delta)))
+    return int(_pair_weights(lens).sum(dtype=object))
+
+
+def _groups(g: TemporalGraph, ends: np.ndarray):
+    """Yield, per block of first edges, the incidence groups as arrays over
+    their members: first edge, member edge, member endpoint code
+    3·c(source) + c(target) with c(u) = 0, c(v) = 1 and c(other) = 2 for
+    the first edge (u, v), and the member's third node or -1. Members of a
+    group are later edges in the first edge's window that touch u or v,
+    each once, in time order."""
+    m = g.n_edges
+    src, tgt = g.src, g.tgt
+    lists, lo, lens = _incidence(g, ends)
+    for i0, i1 in _blocks(_pair_weights(lens)):
         r0, r1 = 2 * i0, 2 * i1
         side = np.repeat(np.arange(r0, r1), lens[r0:r1])
-        edge, first = keys[_ranges(lo[r0:r1], lens[r0:r1])] % m, side // 2
+        edge, first = lists[_ranges(lo[r0:r1], lens[r0:r1])], side // 2
         # an edge joining u and v sits in both lists: keep the source copy
-        u = g.src[first]
-        keep = (side % 2 == 0) | ((g.src[edge] != u) & (g.tgt[edge] != u))
-        edge, first = edge[keep], first[keep]
-        size = np.bincount(first - i0, minlength=i1 - i0)
-        # later[x]: group members after x, each paired with x
-        later = np.repeat(size - 1, size) - _ranges(np.zeros_like(size), size)
-        for a, b in _blocks(later):
-            x = np.repeat(np.arange(a, b), later[a:b])
-            y = _ranges(np.arange(a, b) + 1, later[a:b])
-            jj, kk = edge[x], edge[y]
-            yield first[x], np.minimum(jj, kk), np.maximum(jj, kk)
+        u = src[first]
+        keep = (side % 2 == 0) | ((src[edge] != u) & (tgt[edge] != u))
+        key = np.sort(first[keep] * m + edge[keep])
+        first, edge = np.divmod(key, m)
+        u, v = src[first], tgt[first]
+        s, t = src[edge], tgt[edge]
+        su, sv, tu, tv = (a.view(np.int8) for a in (s == u, s == v, t == u, t == v))
+        code = 8 - 6 * su - 3 * sv - 2 * tu - tv  # c(x) = 2 - 2·[x = u] - [x = v]
+        third = np.where(su | sv, np.where(tu | tv, -1, t), s)
+        yield i0, i1, first, edge, code, third
 
 
-def _classify_chunk(g, ii, jj, kk, exclude_ties, counts_flat, totals):
-    src, tgt, time = g.src, g.tgt, g.time
-    u1, v1 = src[ii], tgt[ii]
-    u2, v2 = src[jj], tgt[jj]
-    u3, v3 = src[kk], tgt[kk]
-
-    def code(x):
-        return np.where(x == u1, 0, np.where(x == v1, 1, 2))
-
-    s2, t2, s3, t3 = code(u2), code(v2), code(u3), code(v3)
-    # the single extra node, tracked so triples on 4+ nodes drop out
-    extra = np.full(u1.shape, -1, dtype=np.int64)
-    ok = np.ones(u1.shape, dtype=bool)
-    for endpoint, c in ((u2, s2), (v2, t2), (u3, s3), (v3, t3)):
-        is_extra = c == 2
-        extra = np.where(is_extra & (extra == -1), endpoint, extra)
-        ok &= ~is_extra | (endpoint == extra)
-    key = (s2 * 3 + t2) * 9 + s3 * 3 + t3
-    motif = catalog.KEY_TO_MOTIF_INDEX[key]
-    ok &= motif >= 0
-    if exclude_ties:
-        ok &= (time[ii] != time[jj]) & (time[jj] != time[kk])
-    sel = np.flatnonzero(ok)
-    if not sel.size:
-        return
-    mot = motif[sel].astype(np.int64)
-    totals += np.bincount(mot, minlength=catalog.N_MOTIFS)
-    cells = [
-        (u1[sel] * catalog.N_MOTIFS + mot) * 3,
-        (v1[sel] * catalog.N_MOTIFS + mot) * 3 + 1,
-    ]
-    has3 = extra[sel] >= 0
-    if has3.any():
-        cells.append((extra[sel][has3] * catalog.N_MOTIFS + mot[has3]) * 3 + 2)
-    counts_flat += np.bincount(
-        np.concatenate(cells), minlength=counts_flat.shape[0]
-    )
+def _pairs(size: np.ndarray):
+    """Blocks (x, y) of the within-group pairs x < y, for groups of the
+    given sizes laid out back to back; a block holds at most _CHUNK pairs
+    unless one x alone has more."""
+    # later[x]: group members after x, each paired with x
+    later = np.repeat(size - 1, size) - _ranges(np.zeros_like(size), size)
+    for a, b in _blocks(later):
+        yield np.repeat(np.arange(a, b), later[a:b]), _ranges(np.arange(a, b) + 1, later[a:b])
 
 
 def count_motifs(
@@ -308,10 +323,41 @@ def count_motifs(
     n = g.n_nodes
     counts_flat = np.zeros(n * catalog.N_CSV_CELLS, dtype=np.int64)
     totals = np.zeros(catalog.N_MOTIFS, dtype=np.int64)
+    # cell indices wait until they outnumber the cells, so that many small
+    # blocks do not each pay a pass over the whole count array
+    pending, n_pending = [], 0
     candidates = 0
-    for ii, jj, kk in _triples(g, _window_ends(g.time, delta)):
-        _classify_chunk(g, ii, jj, kk, exclude_ties, counts_flat, totals)
-        candidates += ii.shape[0]
+    for i0, i1, first, edge, code, third in _groups(g, _window_ends(g.time, delta)):
+        code9 = code * 9
+        if exclude_ties:
+            t = g.time[edge]
+            untied = t != g.time[first]
+        for x, y in _pairs(np.bincount(first - i0, minlength=i1 - i0)):
+            candidates += x.shape[0]
+            # every key of two members that agree on the third node names
+            # a motif, since all 6 x 6 directed edge pairs on 3 nodes do
+            motif = catalog.KEY_TO_MOTIF_INDEX[code9[x] + code[y]]
+            tx, ty = third[x], third[y]
+            ok = (tx == ty) | (tx < 0) | (ty < 0)
+            if exclude_ties:
+                ok &= untied[x] & (t[x] != t[y])
+            sel = np.flatnonzero(ok)
+            if not sel.size:
+                continue
+            mot = motif[sel].astype(np.int64)
+            totals += np.bincount(mot, minlength=catalog.N_MOTIFS)
+            f = first[x[sel]]
+            pending.append((g.src[f] * catalog.N_MOTIFS + mot) * 3)
+            pending.append((g.tgt[f] * catalog.N_MOTIFS + mot) * 3 + 1)
+            w = np.maximum(tx[sel], ty[sel])
+            has3 = w >= 0
+            pending.append((w[has3] * catalog.N_MOTIFS + mot[has3]) * 3 + 2)
+            n_pending += 3 * sel.size
+            if n_pending >= counts_flat.shape[0]:
+                counts_flat += np.bincount(np.concatenate(pending), minlength=counts_flat.shape[0])
+                pending, n_pending = [], 0
+    if pending:
+        counts_flat += np.bincount(np.concatenate(pending), minlength=counts_flat.shape[0])
     return PositionCountMatrix(
         node_names=g.node_names,
         counts=counts_flat.reshape(n, catalog.N_MOTIFS, 3),

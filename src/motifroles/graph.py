@@ -12,7 +12,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .table import table_text, write_table
+from .table import write_table
 
 EDGE_LIST_HEADER = ("source", "target", "timestamp")
 
@@ -68,9 +68,17 @@ class TemporalGraph:
                 raise ValueError("self-loops are not allowed")
             if not np.all(np.isfinite(time)):
                 raise ValueError("non-finite timestamp")
-            if np.unique(seq).shape[0] != m:
-                raise ValueError("seq indices must be unique")
-        order = np.lexsort((seq, time))
+        by_seq = np.sort(seq)
+        if np.any(by_seq[1:] == by_seq[:-1]):
+            raise ValueError("seq indices must be unique")
+        # A stable sort by time is the (time, seq) order when seq already
+        # rises among equal times, as it does for rows in input order and
+        # for a subset of a graph's stored edges; timsort makes one pass
+        # over times already in order.
+        order = np.argsort(time, kind="stable")
+        tied = time[order][1:] == time[order][:-1]
+        if np.any(tied & (seq[order][1:] < seq[order][:-1])):
+            order = np.lexsort((seq, time))
         self.node_names = names
         self.src = src[order]
         self.tgt = tgt[order]
@@ -150,23 +158,6 @@ class TemporalGraph:
         return f"TemporalGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 
 
-def _parse_row(row: list[str], line: int) -> tuple[str, str, float]:
-    if len(row) != 3:
-        raise EdgeListError(f"line {line}: expected 3 fields, got {len(row)}")
-    s, t, raw_ts = (field.strip() for field in row)
-    if not s or not t:
-        raise EdgeListError(f"line {line}: empty node name")
-    try:
-        ts = float(raw_ts)
-    except ValueError:
-        raise EdgeListError(f"line {line}: bad timestamp {raw_ts!r}") from None
-    if not math.isfinite(ts):
-        raise EdgeListError(f"line {line}: non-finite timestamp {raw_ts!r}")
-    if s == t:
-        raise EdgeListError(f"line {line}: self-loop on node {s!r}")
-    return s, t, ts
-
-
 def parse_edge_list(source) -> TemporalGraph:
     """Parse a CSV edge list with header source,target,timestamp.
 
@@ -177,6 +168,8 @@ def parse_edge_list(source) -> TemporalGraph:
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return parse_edge_list(fh)
     reader = csv.reader(source)
+    names: dict[str, int] = {}
+    src, tgt, time = [], [], []
     try:
         header = next(reader, None)
         if header is None:
@@ -185,21 +178,40 @@ def parse_edge_list(source) -> TemporalGraph:
             raise EdgeListError(
                 f"line 1: expected header {','.join(EDGE_LIST_HEADER)!r}"
             )
-        triples = [_parse_row(row, reader.line_num) for row in reader]
+        for row in reader:
+            if len(row) != 3:
+                raise EdgeListError(
+                    f"line {reader.line_num}: expected 3 fields, got {len(row)}"
+                )
+            s, t, raw_ts = row
+            s = s.strip()
+            t = t.strip()
+            if not s or not t:
+                raise EdgeListError(f"line {reader.line_num}: empty node name")
+            try:
+                ts = float(raw_ts)  # float() strips the same whitespace
+            except ValueError:
+                raise EdgeListError(
+                    f"line {reader.line_num}: bad timestamp {raw_ts.strip()!r}"
+                ) from None
+            if not math.isfinite(ts):
+                raise EdgeListError(
+                    f"line {reader.line_num}: non-finite timestamp {raw_ts.strip()!r}"
+                )
+            if s == t:
+                raise EdgeListError(f"line {reader.line_num}: self-loop on node {s!r}")
+            src.append(names.setdefault(s, len(names)))
+            tgt.append(names.setdefault(t, len(names)))
+            time.append(ts)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise EdgeListError(f"line {reader.line_num}: {exc}") from None
-    return TemporalGraph.from_named_edges(triples)
+    return TemporalGraph(tuple(names), src, tgt, time)
 
 
 def _edge_rows(g: TemporalGraph):
     names = g.node_names
     for u, v, t in zip(g.src.tolist(), g.tgt.tolist(), g.time.tolist()):
         yield names[u], names[v], t
-
-
-def serialize_edge_list(g: TemporalGraph) -> str:
-    """Edge list in sorted order; timestamps keep full precision."""
-    return table_text(EDGE_LIST_HEADER, _edge_rows(g))
 
 
 def write_edge_list(g: TemporalGraph, path) -> None:
@@ -239,8 +251,11 @@ def filter_nodes(g: TemporalGraph, keep: Iterable[int]) -> TemporalGraph:
     kept[keep_idx] = True
     edges = kept[g.src] & kept[g.tgt]
     src, tgt = g.src[edges], g.tgt[edges]
-    ends, first = np.unique(np.column_stack((src, tgt)).ravel(), return_index=True)
-    order = ends[np.argsort(first)]  # old indices by first appearance
+    ends = np.column_stack((src, tgt)).ravel()
+    first = np.full(g.n_nodes, ends.size)
+    np.minimum.at(first, ends, np.arange(ends.size))
+    present = np.flatnonzero(first < ends.size)
+    order = present[np.argsort(first[present])]  # old indices by first appearance
     renumber = np.empty(g.n_nodes, dtype=np.int64)
     renumber[order] = np.arange(order.size)
     return TemporalGraph(

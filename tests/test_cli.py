@@ -481,8 +481,14 @@ def test_count_reports_candidate_triples(tmp_path, toy_csv, capsys):
     out = tmp_path / "out"
     assert main(["count", "--input", str(toy_csv), "--delta", "10",
                  "--out", str(out)]) == 0
-    assert "(4 candidate triples)" in capsys.readouterr().out
-    assert check_manifest(out, "count")["config"]["candidate_triples"] == 4
+    printed = capsys.readouterr()
+    assert "(4 candidate triples)" in printed.out
+    # the bound is announced before counting, on stderr
+    assert printed.err == "count: at most 12 candidate triples to classify (delta=10)\n"
+    config = check_manifest(out, "count")["config"]
+    assert config["candidate_triples"] == 4
+    assert config["candidate_bound"] == 12
+    assert config["instances"] == 4
 
 
 def test_count_rejects_an_oversized_field(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import time
 
 import numpy as np
 import pytest
@@ -378,9 +379,11 @@ def test_candidates_lie_between_instances_and_window_triples(seed, integer_times
     t = g.time
     widths = [int(np.sum(t[i + 1:] - t[i] <= delta)) for i in range(g.n_edges)]
     window_triples = sum(w * (w - 1) // 2 for w in widths)
+    bound = counting.candidate_bound(g, delta)
     for policy in ("seq-order", "exclude-ties"):
         counted = count_motifs(g, delta, tie_policy=policy)
         assert counted.total_instances() <= counted.candidates <= window_triples
+        assert counted.candidates <= bound
 
 
 def test_candidates_are_none_when_not_counted(tmp_path, toy_counts):
@@ -421,3 +424,19 @@ def test_mid_scale_counts_are_pinned(monkeypatch, chunk, policy):
     assert hashlib.sha256(le.tobytes()).hexdigest() == digest
     assert counted.motif_totals.tolist() == totals
     assert counted.candidates == candidates
+
+
+def test_candidate_bound_is_cheap_where_counting_is_not():
+    # 3 nodes, every edge at one timestamp: each first edge pairs with all
+    # later edges, so counting would classify about 1.3e9 triples
+    m = 2000
+    src = np.arange(m) % 3
+    g = TemporalGraph(["a", "b", "c"], src, (src + 1) % 3, np.zeros(m))
+    start = time.perf_counter()
+    bound = counting.candidate_bound(g, 1.0)
+    assert time.perf_counter() - start < 0.5
+    # each of the L later edges touches an endpoint of edge i, and the
+    # L // 3 on the same node pair sit in both endpoints' lists
+    later = [m - 1 - i for i in range(m)]
+    widths = [n + n // 3 for n in later]
+    assert bound == sum(w * (w - 1) // 2 for w in widths) > 10**9
