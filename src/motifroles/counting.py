@@ -20,9 +20,9 @@ Each first edge's group of members is put in time order and every member
 is classified once against the first edge: its endpoint codes relative
 to (u, v) and its third node, if it has one. A member pair x < y then
 only reads both members' codes and third nodes, tests that the third
-nodes agree and looks its key up in catalog.KEY_TO_MOTIF_INDEX. First edges and member pairs go
-through numpy in blocks of at most _CHUNK triples, sized so that a
-block's arrays stay in the CPU cache.
+nodes agree and looks its key up in catalog.KEY_TO_MOTIF_INDEX. First
+edges and member pairs go through numpy in blocks of at most _CHUNK
+triples, sized so that a block's arrays stay in the CPU cache.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .table import read_table, write_table
 
 TIE_POLICIES = ("seq-order", "exclude-ties")
 
-_CHUNK = 1 << 15  # triples per classification block, sized to stay in cache
+_CHUNK = 1 << 16  # triples per classification block, sized to stay in cache
 
 
 def _check_delta(delta: float) -> float:
@@ -265,7 +265,8 @@ def _pair_weights(lens: np.ndarray) -> np.ndarray:
 def candidate_bound(g: TemporalGraph, delta: float) -> int:
     """Upper bound on the triples count_motifs classifies: the sum over
     first edges of C(width, 2), computed in O(m log m) without
-    enumerating. An edge joining both endpoints counts twice in width."""
+    enumerating. An edge joining both endpoints counts twice in width.
+    The sum is taken in Python ints, so no input size overflows it."""
     *_, lens = _incidence(g, _window_ends(g.time, _check_delta(delta)))
     return int(_pair_weights(lens).sum(dtype=object))
 
@@ -304,7 +305,8 @@ def _pairs(size: np.ndarray):
     # later[x]: group members after x, each paired with x
     later = np.repeat(size - 1, size) - _ranges(np.zeros_like(size), size)
     for a, b in _blocks(later):
-        yield np.repeat(np.arange(a, b), later[a:b]), _ranges(np.arange(a, b) + 1, later[a:b])
+        x = np.arange(a, b)
+        yield np.repeat(x, later[a:b]), _ranges(x + 1, later[a:b])
 
 
 def count_motifs(
@@ -321,10 +323,11 @@ def count_motifs(
     tie_policy = _check_tie_policy(tie_policy)
     exclude_ties = tie_policy == "exclude-ties"
     n = g.n_nodes
-    counts_flat = np.zeros(n * catalog.N_CSV_CELLS, dtype=np.int64)
+    n_cells = n * catalog.N_CSV_CELLS
+    counts_flat = np.zeros(n_cells, dtype=np.int64)
     totals = np.zeros(catalog.N_MOTIFS, dtype=np.int64)
-    # cell indices wait until they outnumber the cells, so that many small
-    # blocks do not each pay a pass over the whole count array
+    # cell indices wait until they about outnumber the cells, so that many
+    # small blocks do not each pay a pass over the whole count array
     pending, n_pending = [], 0
     candidates = 0
     for i0, i1, first, edge, code, third in _groups(g, _window_ends(g.time, delta)):
@@ -353,11 +356,11 @@ def count_motifs(
             has3 = w >= 0
             pending.append((w[has3] * catalog.N_MOTIFS + mot[has3]) * 3 + 2)
             n_pending += 3 * sel.size
-            if n_pending >= counts_flat.shape[0]:
-                counts_flat += np.bincount(np.concatenate(pending), minlength=counts_flat.shape[0])
+            if n_pending >= n_cells:
+                counts_flat += np.bincount(np.concatenate(pending), minlength=n_cells)
                 pending, n_pending = [], 0
     if pending:
-        counts_flat += np.bincount(np.concatenate(pending), minlength=counts_flat.shape[0])
+        counts_flat += np.bincount(np.concatenate(pending), minlength=n_cells)
     return PositionCountMatrix(
         node_names=g.node_names,
         counts=counts_flat.reshape(n, catalog.N_MOTIFS, 3),

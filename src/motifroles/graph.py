@@ -188,15 +188,16 @@ def parse_edge_list(source) -> TemporalGraph:
             t = t.strip()
             if not s or not t:
                 raise EdgeListError(f"line {reader.line_num}: empty node name")
+            raw_ts = raw_ts.strip()
             try:
-                ts = float(raw_ts)  # float() strips the same whitespace
+                ts = float(raw_ts)
             except ValueError:
                 raise EdgeListError(
-                    f"line {reader.line_num}: bad timestamp {raw_ts.strip()!r}"
+                    f"line {reader.line_num}: bad timestamp {raw_ts!r}"
                 ) from None
             if not math.isfinite(ts):
                 raise EdgeListError(
-                    f"line {reader.line_num}: non-finite timestamp {raw_ts.strip()!r}"
+                    f"line {reader.line_num}: non-finite timestamp {raw_ts!r}"
                 )
             if s == t:
                 raise EdgeListError(f"line {reader.line_num}: self-loop on node {s!r}")
