@@ -76,8 +76,8 @@ class TemporalGraph:
         # for a subset of a graph's stored edges; timsort makes one pass
         # over times already in order.
         order = np.argsort(time, kind="stable")
-        tied = time[order][1:] == time[order][:-1]
-        if np.any(tied & (seq[order][1:] < seq[order][:-1])):
+        t, s = time[order], seq[order]
+        if np.any((t[1:] == t[:-1]) & (s[1:] < s[:-1])):
             order = np.lexsort((seq, time))
         self.node_names = names
         self.src = src[order]
