@@ -275,9 +275,10 @@ def _groups(g: TemporalGraph, ends: np.ndarray):
     """Yield, per block of first edges, the incidence groups as arrays over
     their members: first edge, member edge, member endpoint code
     3·c(source) + c(target) with c(u) = 0, c(v) = 1 and c(other) = 2 for
-    the first edge (u, v), and the member's third node or -1. Members of a
-    group are later edges in the first edge's window that touch u or v,
-    each once, in time order."""
+    the first edge (u, v), and the member's third node or -1; then the
+    group sizes. Members of a group are later edges in the first edge's
+    window that touch u or v, each once, in time order, and the groups
+    follow each other in first-edge order."""
     m = g.n_edges
     src, tgt = g.src, g.tgt
     lists, lo, lens = _incidence(g, ends)
@@ -295,7 +296,7 @@ def _groups(g: TemporalGraph, ends: np.ndarray):
         su, sv, tu, tv = (a.view(np.int8) for a in (s == u, s == v, t == u, t == v))
         code = 8 - 6 * su - 3 * sv - 2 * tu - tv  # c(x) = 2 - 2·[x = u] - [x = v]
         third = np.where(su | sv, np.where(tu | tv, -1, t), s)
-        yield i0, i1, first, edge, code, third
+        yield first, edge, code, third, np.bincount(first - i0)
 
 
 def _pairs(size: np.ndarray):
@@ -330,12 +331,12 @@ def count_motifs(
     # small blocks do not each pay a pass over the whole count array
     pending, n_pending = [], 0
     candidates = 0
-    for i0, i1, first, edge, code, third in _groups(g, _window_ends(g.time, delta)):
+    for first, edge, code, third, size in _groups(g, _window_ends(g.time, delta)):
         code9 = code * 9
         if exclude_ties:
             t = g.time[edge]
             untied = t != g.time[first]
-        for x, y in _pairs(np.bincount(first - i0, minlength=i1 - i0)):
+        for x, y in _pairs(size):
             candidates += x.shape[0]
             # every key of two members that agree on the third node names
             # a motif, since all 6 x 6 directed edge pairs on 3 nodes do
