@@ -26,7 +26,7 @@ from .cluster import (
     ward_linkage,
     write_labels_csv,
 )
-from .counting import candidate_bound, count_motifs, read_count_csv
+from .counting import _bound, _window_index, count_motifs, read_count_csv
 from .evaluation import evaluate_scenario
 from .graph import filter_nodes, largest_scc, parse_edge_list, write_edge_list
 from .hawkes import (
@@ -82,10 +82,11 @@ def _cmd_count(args) -> None:
         component = largest_scc(graph)
         scc_kept = sorted(graph.node_names[i] for i in component)
         graph = filter_nodes(graph, component)
-    bound = candidate_bound(graph, args.delta)
+    index = _window_index(graph, args.delta)  # shared by the bound and the count
+    bound = _bound(index)
     print(f"count: at most {bound} candidate triples to classify "
           f"(delta={args.delta:g})", file=sys.stderr)
-    counts = count_motifs(graph, args.delta, _TIE_FLAG[args.ties])
+    counts = count_motifs(graph, args.delta, _TIE_FLAG[args.ties], _index=index)
     out = _prepare_out(args.out)
     counts.write_csv(out / "counts.csv")
     counts.write_motif_totals_csv(out / "motif_totals.csv")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .table import read_table, write_table
 
@@ -207,19 +208,25 @@ def centroids(profiles, clustering: FlatClustering) -> np.ndarray:
 
 
 def _as_labels(value) -> np.ndarray:
-    labels = getattr(value, "labels", value)
-    arr = np.asarray(labels, dtype=np.int64)
+    arr = np.asarray(getattr(value, "labels", value))
     if arr.ndim != 1:
         raise ValueError("labels must be 1-D")
-    return arr
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+        ints = arr.astype(np.int64)
+    if not np.array_equal(ints, arr):
+        raise ValueError("labels must be integers")
+    return ints
 
 
 def permutation_accuracy(pred, truth) -> float:
     """Best label-matching accuracy over cluster-to-class assignments.
 
-    Equivalent to the maximum over label permutations when both sides use
-    the same number of labels; solved by optimal assignment on the
-    confusion matrix so larger label sets stay cheap.
+    Equivalent to the maximum over injective maps from the smaller label
+    set into the larger one. It is solved as a minimum-weight full matching
+    on the confusion matrix with weights max + 1 - count: every weight is
+    at least 1, so every cell stays an edge, and every full matching pairs
+    min(#pred labels, #true labels) cells, so the lightest one holds the
+    most nodes.
     """
     p = _as_labels(pred)
     t = _as_labels(truth)
@@ -231,7 +238,9 @@ def permutation_accuracy(pred, truth) -> float:
     p_ids, p_idx = np.unique(p, return_inverse=True)
     confusion = np.zeros((t_ids.shape[0], p_ids.shape[0]), dtype=np.int64)
     np.add.at(confusion, (t_idx, p_idx), 1)
-    rows, cols = linear_sum_assignment(-confusion)
+    rows, cols = min_weight_full_bipartite_matching(
+        csr_matrix(confusion.max() + 1 - confusion)
+    )
     return float(confusion[rows, cols].sum()) / p.shape[0]
 
 

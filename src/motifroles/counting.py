@@ -262,26 +262,37 @@ def _pair_weights(lens: np.ndarray) -> np.ndarray:
     return width * (width - 1) // 2
 
 
-def candidate_bound(g: TemporalGraph, delta: float) -> int:
-    """Upper bound on the triples count_motifs classifies: the sum over
-    first edges of C(width, 2), computed in O(m log m) without
-    enumerating. An edge joining both endpoints counts twice in width.
-    The sum is taken in Python ints, so no input size overflows it."""
-    *_, lens = _incidence(g, _window_ends(g.time, _check_delta(delta)))
+def _window_index(g: TemporalGraph, delta: float):
+    """_incidence over g's delta windows, after checking delta."""
+    return _incidence(g, _window_ends(g.time, _check_delta(delta)))
+
+
+def _bound(index) -> int:
+    """The sum over first edges of C(width, 2), taken in Python ints, so no
+    input size overflows it."""
+    *_, lens = index
     return int(_pair_weights(lens).sum(dtype=object))
 
 
-def _groups(g: TemporalGraph, ends: np.ndarray):
+def candidate_bound(g: TemporalGraph, delta: float) -> int:
+    """Upper bound on the triples count_motifs classifies: the sum over
+    first edges of C(width, 2), computed in O(m log m) without
+    enumerating. An edge joining both endpoints counts twice in width."""
+    return _bound(_window_index(g, delta))
+
+
+def _groups(g: TemporalGraph, index):
     """Yield, per block of first edges, the incidence groups as arrays over
     their members: first edge, member edge, member endpoint code
     3·c(source) + c(target) with c(u) = 0, c(v) = 1 and c(other) = 2 for
     the first edge (u, v), and the member's third node or -1; then the
     group sizes. Members of a group are later edges in the first edge's
     window that touch u or v, each once, in time order, and the groups
-    follow each other in first-edge order."""
+    follow each other in first-edge order. index is the _incidence of
+    the windows."""
     m = g.n_edges
     src, tgt = g.src, g.tgt
-    lists, lo, lens = _incidence(g, ends)
+    lists, lo, lens = index
     for i0, i1 in _blocks(_pair_weights(lens)):
         r0, r1 = 2 * i0, 2 * i1
         side = np.repeat(np.arange(r0, r1), lens[r0:r1])
@@ -311,14 +322,16 @@ def _pairs(size: np.ndarray):
 
 
 def count_motifs(
-    g: TemporalGraph, delta: float, tie_policy: str = "seq-order"
+    g: TemporalGraph, delta: float, tie_policy: str = "seq-order", *, _index=None
 ) -> PositionCountMatrix:
     """Count all motif instances within the delta window.
 
     For each first edge (u, v) only the later edges inside its window that
     touch u or v are paired. This is exact because every edge of an
     instance touches u or v (see the module docstring). `candidates`
-    records how many triples were classified.
+    records how many triples were classified. _index, when given, is
+    _window_index(g, delta), built once by a caller that also wants the
+    candidate bound.
     """
     delta = _check_delta(delta)
     tie_policy = _check_tie_policy(tie_policy)
@@ -331,7 +344,8 @@ def count_motifs(
     # small blocks do not each pay a pass over the whole count array
     pending, n_pending = [], 0
     candidates = 0
-    for first, edge, code, third, size in _groups(g, _window_ends(g.time, delta)):
+    index = _window_index(g, delta) if _index is None else _index
+    for first, edge, code, third, size in _groups(g, index):
         code9 = code * 9
         if exclude_ties:
             t = g.time[edge]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import motifroles
+from motifroles import counting
 from motifroles.cli import main
 from motifroles.counting import read_count_csv
 from motifroles.graph import parse_edge_list
@@ -239,6 +240,45 @@ def test_csv_format_lives_in_the_table_module():
                 writers.add(path.name)
     assert importers <= {"table.py", "graph.py"}
     assert writers == {"table.py"}
+
+
+def test_scipy_is_imported_from_csgraph_alone_and_at_module_top():
+    # scipy.optimize costs every command about a quarter second of start-up;
+    # an import inside a function would land in the timed work instead
+    package = Path(motifroles.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module == "scipy" or module.startswith("scipy."):
+                    found.add((path.name, module, node in tree.body))
+    assert found
+    assert {module for _, module, _ in found} <= {"scipy.sparse", "scipy.sparse.csgraph"}
+    assert all(top for *_, top in found)
+
+
+def test_cli_start_and_scoring_leave_scipy_optimize_unloaded():
+    src = Path(motifroles.__file__).resolve().parents[1]
+    code = (
+        "import sys, motifroles.cli\n"
+        "from motifroles.cluster import permutation_accuracy\n"
+        "assert permutation_accuracy([0, 0, 1, 2], [1, 1, 0, 0]) == 0.75\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_repeated_profile_row_is_rejected(tmp_path, toy_csv, capsys):
@@ -489,6 +529,15 @@ def test_count_reports_candidate_triples(tmp_path, toy_csv, capsys):
     assert config["candidate_triples"] == 4
     assert config["candidate_bound"] == 12
     assert config["instances"] == 4
+
+
+def test_count_builds_the_incidence_index_once(tmp_path, toy_csv, monkeypatch):
+    calls = []
+    build = counting._incidence
+    monkeypatch.setattr(counting, "_incidence", lambda *a: calls.append(1) or build(*a))
+    assert main(["count", "--input", str(toy_csv), "--delta", "10",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 def test_count_rejects_an_oversized_field(tmp_path, capsys):

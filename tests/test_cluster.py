@@ -1,8 +1,9 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
 
@@ -272,6 +273,29 @@ def test_permutation_accuracy_accepts_flat_clustering():
     assert permutation_accuracy(flat, np.array([0, 0, 1, 1])) == 1.0
 
 
+def test_non_integer_labels_are_rejected(tmp_path):
+    # truncating would read these predictions as [0, 0, 1, 1] and score 0.5
+    with pytest.raises(ValueError, match="labels must be integers"):
+        permutation_accuracy([0.2, 0.7, 1.4, 1.9], [0, 1, 0, 1])
+    for bad in ([0.0, np.nan, 1.0, 1.0], [0.0, np.inf, 1.0, 1.0], [0.0, 1e30, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            permutation_accuracy([0, 1, 0, 1], bad)
+    path = tmp_path / "labels.csv"
+    with pytest.raises(ValueError, match="labels must be integers"):
+        write_labels_csv(["a", "b"], [0.5, 1.0], path, "cluster")
+    assert not path.exists()
+
+
+def test_bool_integer_and_whole_float_labels_are_accepted(tmp_path):
+    truth = np.array([0, 0, 1, 1])
+    assert permutation_accuracy(np.array([True, True, False, False]), truth) == 1.0
+    assert permutation_accuracy(np.array([5, 5, 9, 9], dtype=np.uint8), truth) == 1.0
+    assert permutation_accuracy([0.0, 1.0, 1.0, 1.0], truth) == 0.75
+    path = tmp_path / "labels.csv"
+    write_labels_csv(["a", "b"], np.array([True, False]), path, "cluster")
+    assert read_labels_csv(path, "cluster")[1].tolist() == [1, 0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(4, 30))
 def test_permutation_accuracy_symmetry(seed, k, n):
@@ -304,6 +328,47 @@ def test_accuracy_pigeonhole_floor(seed, k, n):
     largest = max(np.bincount(truth))
     acc = permutation_accuracy(pred, truth)
     assert largest / (n * k) - 1e-12 <= acc <= 1.0
+
+
+def injective_map_accuracy(pred, truth) -> float:
+    """Best accuracy over every injective map between the two label sets,
+    from the smaller set into the larger one."""
+    p_ids, t_ids = sorted(set(pred)), sorted(set(truth))
+    hits = {(a, b): 0 for a in p_ids for b in t_ids}
+    for a, b in zip(pred, truth):
+        hits[a, b] += 1
+    if len(p_ids) <= len(t_ids):
+        best = max(sum(hits[a, b] for a, b in zip(p_ids, image))
+                   for image in itertools.permutations(t_ids, len(p_ids)))
+    else:
+        best = max(sum(hits[a, b] for a, b in zip(image, t_ids))
+                   for image in itertools.permutations(p_ids, len(t_ids)))
+    return best / len(pred)
+
+
+@st.composite
+def label_pairs(draw):
+    # label values are arbitrary ints, so neither side is 0..k-1
+    p_vals = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=5, unique=True))
+    t_vals = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(1, 40))
+    pred = draw(st.lists(st.sampled_from(p_vals), min_size=n, max_size=n))
+    truth = draw(st.lists(st.sampled_from(t_vals), min_size=n, max_size=n))
+    return pred, truth
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_pairs())
+@example(([3, 3, 3, 3], [0, 1, 1, 2]))  # one predicted label
+@example(([0, 1, 2, 1, 0], [7, 7, 7, 7, 7]))  # one true label
+@example(([5], [-2]))
+@example(([0, 1, 2, 3, 4, 0, 1], [4, 3, 2, 1, 0, 4, 4]))  # square, 5 per side
+@example(([0, 0, 1, 1, 2, 2], [0, 1, 0, 1, 0, 1]))  # rectangular, 3 x 2
+def test_permutation_accuracy_equals_the_best_injective_label_map(pair):
+    pred, truth = pair
+    expected = injective_map_accuracy(pred, truth)
+    assert permutation_accuracy(np.array(pred), np.array(truth)) == expected
+    assert permutation_accuracy(np.array(truth), np.array(pred)) == expected
 
 
 def test_dendrogram_validation():
