@@ -171,7 +171,13 @@ def _cmd_render(args) -> None:
         if name not in prof.node_names:
             raise ValueError(f"node {name!r} is not in the profile file")
         row = prof.node_names.index(name)
-        svgs[f"node_{urllib.parse.quote(name, safe='')}.svg"] = heatmap_svg(
+        fname = f"node_{urllib.parse.quote(name, safe='')}.svg"
+        if len(fname) > 255:  # quoted names are ASCII: one byte per character
+            raise ValueError(
+                f"node {name!r} needs a {len(fname)}-byte file name; "
+                "the limit is 255 bytes"
+            )
+        svgs[fname] = heatmap_svg(
             prof.vectors[row], prof.kind, f"node {name} ({prof.kind})"
         )
     if not svgs:
@@ -249,6 +255,7 @@ def _cmd_eval(args) -> None:
     inputs = {} if args.params is None else {"params": args.params}
     _write_manifest(out, "eval", config, inputs)
     print(summary.report(), end="")
+    print(summary.gate_diagnostics())
 
 
 def _cmd_catalog(args) -> None:

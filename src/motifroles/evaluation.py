@@ -74,6 +74,15 @@ class EvalSummary:
             rows.append((kind, f"{self.mean_accuracy(kind):.4f}", se_text))
         return table_text(("method", "mean_accuracy", "stderr"), rows)
 
+    def gate_diagnostics(self) -> str:
+        """One line on the runs.csv columns the acceptance gate checks: the
+        worst and mean two_node_mass_min, and the runs with position_split 1."""
+        masses = [min(r.two_node_mass) for r in self.runs]
+        split = sum(r.split_ok for r in self.runs)
+        return (f"two_node_mass_min worst {min(masses):.4f} mean "
+                f"{sum(masses) / len(masses):.4f}; "
+                f"position_split {split}/{self.n_runs}")
+
     def write_runs_csv(self, path) -> None:
         header = ("seed", "events", "profiled", "accuracy_positioned",
                   "accuracy_positionless", "two_node_mass_min", "position_split")

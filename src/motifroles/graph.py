@@ -165,7 +165,7 @@ def parse_edge_list(source) -> TemporalGraph:
     in order of first appearance; edge seq is the data-row order.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return parse_edge_list(fh)
     reader = csv.reader(source)
     names: dict[str, int] = {}

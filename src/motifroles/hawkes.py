@@ -25,7 +25,7 @@ IEEE operations and order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -130,26 +130,7 @@ class BlockHawkesParams:
         return 1.0 - worst
 
     def to_json(self) -> str:
-        payload = {
-            "n_nodes": self.n_nodes,
-            "block_probs": list(self.block_probs),
-            "horizon": self.horizon,
-            "baseline": [list(row) for row in self.baseline],
-            "excitations": [
-                {
-                    "kind": e.kind,
-                    "block_pair": list(e.block_pair),
-                    "alpha": e.alpha,
-                    "beta": e.beta,
-                }
-                for e in self.excitations
-            ],
-            "block_assignment": (
-                list(self.block_assignment) if self.block_assignment else None
-            ),
-            "max_events": self.max_events,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "BlockHawkesParams":
@@ -192,7 +173,7 @@ def write_params(params: BlockHawkesParams, path) -> None:
 
 
 def read_params(path) -> BlockHawkesParams:
-    return BlockHawkesParams.from_json(Path(path).read_text(encoding="utf-8"))
+    return BlockHawkesParams.from_json(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)
@@ -349,18 +330,20 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
 
 
 # Shipped scenario parameter sets for the two-block role-recovery study.
-# Values were tuned with scripts/tune_scenarios.py over 100 seeds until
-# positioned clustering recovered blocks with a wide margin, positionless
-# clustering stayed far behind, and the cluster centroids were dominated
-# by the intended motif cells. SCENARIO_DELTAS gives the matching
-# counting windows. Event density is kept low relative to the window so
-# that windowed triples are mostly single bursts rather than unrelated
-# coincidences.
+# Values were chosen over 100 seeds by scoring candidate JSON files with
+# `motifroles eval --params FILE --delta D --runs 100 --min-motifs 10 --k 2`
+# until positioned clustering recovered blocks with a wide margin,
+# positionless clustering stayed far behind, and the cluster centroids
+# were dominated by the intended motif cells. SCENARIO_DELTAS gives the
+# matching counting windows. Event density is kept low relative to the
+# window so that windowed triples are mostly single bursts rather than
+# unrelated coincidences.
 
+SCENARIO_NODES = 20
 SCENARIO_DELTAS = {1: 3.0, 2: 5.0}
 
 
-def scenario_params(which: int, n_nodes: int = 20) -> BlockHawkesParams:
+def scenario_params(which: int) -> BlockHawkesParams:
     """Parameter sets for the two simulation scenarios.
 
     Scenario 1: symmetric baselines with uniform self-excitation, plus
@@ -375,7 +358,7 @@ def scenario_params(which: int, n_nodes: int = 20) -> BlockHawkesParams:
     """
     if which == 1:
         params = BlockHawkesParams(
-            n_nodes=n_nodes,
+            n_nodes=SCENARIO_NODES,
             block_probs=(0.5, 0.5),
             horizon=12000.0,
             baseline=((0.0002, 0.0002), (0.0002, 0.0002)),
@@ -389,7 +372,7 @@ def scenario_params(which: int, n_nodes: int = 20) -> BlockHawkesParams:
         )
     elif which == 2:
         params = BlockHawkesParams(
-            n_nodes=n_nodes,
+            n_nodes=SCENARIO_NODES,
             block_probs=(0.5, 0.5),
             horizon=1600.0,
             baseline=((0.0, 0.004), (0.0, 0.0)),

@@ -24,7 +24,6 @@ class ProfileMatrix:
     kind: str
     node_names: tuple[str, ...]
     vectors: np.ndarray  # (n, 104) positioned or (n, 36) positionless
-    totals: np.ndarray  # raw participation count per kept node
     dropped: tuple[tuple[str, int], ...]  # (name, total) for filtered nodes
 
     def __post_init__(self):
@@ -40,7 +39,6 @@ class ProfileMatrix:
         ):
             raise ValueError("every profile must sum to 1")
         self.vectors.setflags(write=False)
-        self.totals.setflags(write=False)
 
     @property
     def n_profiled(self) -> int:
@@ -94,7 +92,6 @@ def _build(counts: PositionCountMatrix, min_motifs: int, kind: str) -> ProfileMa
         kind=kind,
         node_names=tuple(counts.node_names[i] for i in kept),
         vectors=vectors,
-        totals=totals[kept].copy(),
         dropped=dropped,
     )
 
@@ -130,6 +127,5 @@ def read_profile_csv(source) -> ProfileMatrix:
         kind=kind,
         node_names=names,
         vectors=vectors,
-        totals=np.zeros(len(names), dtype=np.int64),
         dropped=(),
     )

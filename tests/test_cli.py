@@ -17,7 +17,7 @@ from motifroles import counting
 from motifroles.cli import main
 from motifroles.counting import read_count_csv
 from motifroles.graph import parse_edge_list
-from motifroles.hawkes import read_params, scenario_params
+from motifroles.hawkes import SCENARIO_DELTAS, read_params, scenario_params
 from conftest import TOY_EDGES
 
 TOY_CSV = "source,target,timestamp\n" + "".join(
@@ -428,6 +428,52 @@ def test_eval_with_params_file_requires_delta(tmp_path, capsys):
                  "--min-motifs", "10", "--out", str(tmp_path / "e2")]) == 0
 
 
+@pytest.mark.parametrize("which", [1, 2])
+def test_eval_of_emitted_params_matches_the_scenario(tmp_path, which):
+    pfile = tmp_path / "params.json"
+    assert main(["simulate", "--scenario", str(which), "--emit-params", str(pfile),
+                 "--out", str(tmp_path / "sim")]) == 0
+    flags = ["--runs", "2", "--min-motifs", "10", "--k", "2"]
+    by_file, by_name = tmp_path / "file", tmp_path / "name"
+    assert main(["eval", "--params", str(pfile), "--delta",
+                 str(SCENARIO_DELTAS[which]), *flags, "--out", str(by_file)]) == 0
+    assert main(["eval", "--scenario", str(which), *flags, "--out", str(by_name)]) == 0
+    for name in ("runs.csv", "summary.csv"):
+        assert (by_file / name).read_bytes() == (by_name / name).read_bytes()
+
+
+def test_eval_prints_the_gate_diagnostics_of_runs_csv(tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert main(["eval", "--scenario", "1", "--runs", "3", "--min-motifs", "10",
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(out / "runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    masses = [float(r["two_node_mass_min"]) for r in rows]
+    split = sum(int(r["position_split"]) for r in rows)
+    assert printed[-1] == (
+        f"two_node_mass_min worst {min(masses):.4f} mean "
+        f"{sum(masses) / len(masses):.4f}; position_split {split}/3"
+    )
+    # the line follows the summary table, which stdout still carries whole
+    assert "\n".join(printed[:-1]) + "\n" == (out / "summary.csv").read_text()
+
+
+def test_emitted_scenario_2_params_are_pinned(tmp_path):
+    pfile = tmp_path / "params.json"
+    assert main(["simulate", "--scenario", "2", "--emit-params", str(pfile),
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert hashlib.sha256(pfile.read_bytes()).hexdigest() == (
+        "5f4fd03d482e1ea9dec9590f852f86e7db3c31ba67588b7a8ed8799266b8201b"
+    )
+
+
+def test_params_file_may_start_with_a_byte_order_mark(tmp_path):
+    pfile = tmp_path / "params.json"
+    pfile.write_text("\ufeff" + scenario_params(1).to_json(), encoding="utf-8")
+    assert read_params(pfile) == scenario_params(1)
+
+
 def test_catalog_to_stdout(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
@@ -550,3 +596,36 @@ def test_count_rejects_an_oversized_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: field larger than field limit")
     assert not out.exists()
+
+
+def test_edge_list_may_start_with_a_byte_order_mark(tmp_path, toy_csv):
+    bom_csv = tmp_path / "bom.csv"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + toy_csv.read_bytes())
+    for edges, out in ((toy_csv, "plain"), (bom_csv, "bom")):
+        assert main(["count", "--input", str(edges), "--delta", "10",
+                     "--out", str(tmp_path / out)]) == 0
+    for name in ("counts.csv", "motif_totals.csv"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "bom" / name).read_bytes())
+
+
+def test_render_rejects_a_node_file_name_over_255_bytes(tmp_path, capsys):
+    # "Ä" quotes to the six bytes %C3%84, so node_<name>.svg is 369 bytes
+    name = "\u00c4" * 60
+    codes, pdir, _ = _renamed_toy_pipeline(tmp_path, name)
+    assert codes == [0, 0, 0]
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                 "--node", name, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(name) in err and "369-byte" in err
+    assert not out.exists()
+    # 246 ASCII characters make a file name of exactly 255 bytes, which is kept
+    name = "A" * 246
+    (tmp_path / "edge").mkdir()
+    codes, pdir, _ = _renamed_toy_pipeline(tmp_path / "edge", name)
+    assert codes == [0, 0, 0]
+    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                 "--node", name, "--out", str(out)]) == 0
+    assert (out / f"node_{name}.svg").exists()

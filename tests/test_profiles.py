@@ -54,10 +54,6 @@ class TestToyProfiles:
         b = p.vectors[list(p.node_names).index("B")]
         assert np.array_equal(a, b)
 
-    def test_totals_recorded(self, toy_counts):
-        p = build_positioned(toy_counts, min_motifs=0)
-        assert list(p.totals) == [4, 4, 3]
-
 
 def test_zero_count_node_is_dropped():
     counts = np.zeros((2, 36, 3), dtype=np.int64)
@@ -214,5 +210,4 @@ def test_value_of_unknown_column(toy_counts):
 
 def test_profile_matrix_validation():
     with pytest.raises(ValueError):
-        ProfileMatrix("positioned", ("A",), np.full((1, 104), 0.5),
-                      np.array([1]), ())
+        ProfileMatrix("positioned", ("A",), np.full((1, 104), 0.5), ())
