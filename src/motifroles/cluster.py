@@ -9,12 +9,11 @@ in the minimum Delta break toward the smallest (left, right) id pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .table import read_table, write_table
 
@@ -218,15 +217,55 @@ def _as_labels(value) -> np.ndarray:
     return ints
 
 
+def _max_assignment(weight: list[list[int]]) -> int:
+    """Largest total of weight[i][col[i]] over injective row-to-column
+    maps, for rows <= columns.
+
+    The Hungarian method with potentials (Kuhn 1955; Munkres 1957), adding
+    one row at a time along a shortest augmenting path, on the costs
+    -weight. Integer weights keep every potential exact.
+    """
+    rows, cols = len(weight), len(weight[0])
+    u = [0] * (rows + 1)  # row potentials; row r is weight[r - 1]
+    v = [0] * (cols + 1)  # column potentials; column 0 is a virtual start
+    match = [0] * (cols + 1)  # row matched to each column, 0 for none
+    for r in range(1, rows + 1):
+        match[0] = r
+        col = 0
+        slack = [math.inf] * (cols + 1)
+        via = [0] * (cols + 1)
+        done = [False] * (cols + 1)
+        while match[col]:
+            done[col] = True
+            i = match[col]
+            step, nxt = math.inf, 0
+            for j in range(1, cols + 1):
+                if not done[j]:
+                    reduced = -weight[i - 1][j - 1] - u[i] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], via[j] = reduced, col
+                    if slack[j] < step:
+                        step, nxt = slack[j], j
+            for j in range(cols + 1):
+                if done[j]:
+                    u[match[j]] += step
+                    v[j] -= step
+                else:
+                    slack[j] -= step
+            col = nxt
+        while col:  # flip the augmenting path back to the start
+            prev = via[col]
+            match[col] = match[prev]
+            col = prev
+    return sum(weight[match[j] - 1][j - 1] for j in range(1, cols + 1) if match[j])
+
+
 def permutation_accuracy(pred, truth) -> float:
     """Best label-matching accuracy over cluster-to-class assignments.
 
     Equivalent to the maximum over injective maps from the smaller label
-    set into the larger one. It is solved as a minimum-weight full matching
-    on the confusion matrix with weights max + 1 - count: every weight is
-    at least 1, so every cell stays an edge, and every full matching pairs
-    min(#pred labels, #true labels) cells, so the lightest one holds the
-    most nodes.
+    set into the larger one, solved as an assignment problem on the
+    confusion matrix with the Hungarian method.
     """
     p = _as_labels(pred)
     t = _as_labels(truth)
@@ -238,10 +277,9 @@ def permutation_accuracy(pred, truth) -> float:
     p_ids, p_idx = np.unique(p, return_inverse=True)
     confusion = np.zeros((t_ids.shape[0], p_ids.shape[0]), dtype=np.int64)
     np.add.at(confusion, (t_idx, p_idx), 1)
-    rows, cols = min_weight_full_bipartite_matching(
-        csr_matrix(confusion.max() + 1 - confusion)
-    )
-    return float(confusion[rows, cols].sum()) / p.shape[0]
+    if confusion.shape[0] > confusion.shape[1]:
+        confusion = confusion.T
+    return _max_assignment(confusion.tolist()) / p.shape[0]
 
 
 def serialize_dendrogram(

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import concurrent.futures.process  # loaded here, not inside a timed eval
 import functools
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -163,17 +166,13 @@ def evaluate_scenario(
         raise ValueError("need at least one run")
     run = functools.partial(evaluate_run, params, delta, k=k, min_motifs=min_motifs)
     workers = min(usable_cpus(), len(seeds))
-    # imported here, not at module top, so CLI start-up does not pay for them
-    import multiprocessing
-
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         runs = tuple(map(run, seeds))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker imports numpy and scipy afresh,
-        # which costs more than a whole run
+        # fork, not spawn: a spawned worker imports numpy and the package
+        # afresh, which costs more than a whole run
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=context)
+        with pool:
             runs = tuple(pool.map(run, seeds))
     return EvalSummary(runs=runs, delta=float(delta), k=k)

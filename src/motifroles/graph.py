@@ -9,8 +9,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .table import write_table
 
@@ -222,19 +220,64 @@ def write_edge_list(g: TemporalGraph, path) -> None:
 def largest_scc(g: TemporalGraph) -> frozenset[int]:
     """Node set of the largest strongly connected component of the
     time-aggregated digraph, where parallel edges count as one arc; on
-    equal sizes the component holding the smallest node index wins."""
+    equal sizes the component holding the smallest node index wins.
+
+    Tarjan's algorithm (1972), run with an explicit stack so that a long
+    path cannot exhaust Python's recursion limit, over the sorted unique
+    arcs laid out as CSR offsets. Time is linear in nodes plus arcs.
+    """
     n = g.n_nodes
     if n == 0:
         return frozenset()
-    adjacency = csr_matrix(
-        (np.ones(g.n_edges, dtype=bool), (g.src, g.tgt)), shape=(n, n)
-    )
-    _, labels = connected_components(adjacency, directed=True, connection="strong")
-    sizes = np.bincount(labels)
-    smallest = np.full(sizes.size, n)
-    np.minimum.at(smallest, labels, np.arange(n))
-    best = np.lexsort((smallest, -sizes))[0]
-    return frozenset(np.flatnonzero(labels == best).tolist())
+    arcs = np.sort(g.src * n + g.tgt)
+    arcs = np.concatenate((arcs[:1], arcs[1:][arcs[1:] != arcs[:-1]]))
+    targets = (arcs % n).tolist()
+    offsets = np.searchsorted(arcs, np.arange(n + 1) * n).tolist()  # arcs out of v
+    index = [-1] * n  # discovery order; n once the node's component is done
+    low = [0] * n
+    depth = [0] * n  # the node's position on the component stack
+    stack: list[int] = []
+    best: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        depth[root] = len(stack)
+        stack.append(root)
+        frames = [(root, offsets[root])]  # (node, next arc to follow)
+        while frames:
+            v, pos = frames[-1]
+            end = offsets[v + 1]
+            while pos < end:
+                w = targets[pos]
+                pos += 1
+                if index[w] < 0:  # descend into w, resume v at pos later
+                    frames[-1] = (v, pos)
+                    index[w] = low[w] = counter
+                    counter += 1
+                    depth[w] = len(stack)
+                    stack.append(w)
+                    frames.append((w, offsets[w]))
+                    break
+                if index[w] < low[v]:  # w is on the stack: done nodes hold n
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = stack[depth[v]:]
+                    del stack[depth[v]:]
+                    for w in comp:
+                        index[w] = n
+                    if len(comp) > len(best) or (
+                        len(comp) == len(best) and min(comp) < min(best)
+                    ):
+                        best = comp
+    return frozenset(best)
 
 
 def filter_nodes(g: TemporalGraph, keep: Iterable[int]) -> TemporalGraph:

@@ -113,8 +113,7 @@ def read_profile_csv(source) -> ProfileMatrix:
     kind = "positioned" if header == positioned else "positionless"
     wide = np.array(rows, dtype=np.float64).reshape(len(names), len(header) - 1)
     if kind == "positioned":
-        dead = np.setdiff1d(np.arange(catalog.N_CSV_CELLS), catalog.LIVE_FLAT)
-        if wide[:, dead].any():
+        if wide[:, ~catalog.LIVE_MASK.reshape(-1)].any():
             raise ValueError("profile CSV: nonzero value in a structurally dead column")
         vectors = wide[:, catalog.LIVE_FLAT]
     else:

@@ -242,43 +242,52 @@ def test_csv_format_lives_in_the_table_module():
     assert writers == {"table.py"}
 
 
-def test_scipy_is_imported_from_csgraph_alone_and_at_module_top():
-    # scipy.optimize costs every command about a quarter second of start-up;
-    # an import inside a function would land in the timed work instead
+def test_no_module_imports_scipy():
+    # scipy's import chain cost every command about 0.35 s of start-up;
+    # it stays a test-time oracle only
     package = Path(motifroles.__file__).parent
-    found = set()
+    found = []
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 modules = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 modules = [node.module]
             else:
                 continue
-            for module in modules:
-                if module == "scipy" or module.startswith("scipy."):
-                    found.add((path.name, module, node in tree.body))
-    assert found
-    assert {module for _, module, _ in found} <= {"scipy.sparse", "scipy.sparse.csgraph"}
-    assert all(top for *_, top in found)
+            found += [(path.name, m) for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
 
 
-def test_cli_start_and_scoring_leave_scipy_optimize_unloaded():
+def test_commands_and_scoring_load_no_scipy_or_numpy_ma(tmp_path, toy_csv):
+    # a bare np.unique or np.setdiff1d imports numpy.ma (about 13 ms)
     src = Path(motifroles.__file__).resolve().parents[1]
-    code = (
-        "import sys, motifroles.cli\n"
-        "from motifroles.cluster import permutation_accuracy\n"
-        "assert permutation_accuracy([0, 0, 1, 2], [1, 1, 0, 0]) == 0.75\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
-    )
+    c, p, k, r, e = (str(tmp_path / d) for d in "cpkre")
+    code = f"""
+import sys, motifroles.cli, motifroles.evaluation
+assert "concurrent.futures.process" in sys.modules  # not imported inside eval
+from motifroles.cli import main
+from motifroles.cluster import permutation_accuracy
+for argv in (
+    ["count", "--input", {str(toy_csv)!r}, "--delta", "10", "--scc", "--out", {c!r}],
+    ["profile", "--counts", {c!r} + "/counts.csv", "--out", {p!r}],
+    ["cluster", "--profiles", {p!r} + "/profiles.csv", "--k", "2", "--out", {k!r}],
+    ["render", "--profiles", {p!r} + "/profiles.csv",
+     "--dendrogram", {k!r} + "/dendrogram.txt", "--k", "2", "--out", {r!r}],
+    ["eval", "--scenario", "2", "--runs", "2", "--min-motifs", "10", "--out", {e!r}],
+):
+    assert main(argv) == 0, argv
+assert permutation_accuracy([0, 0, 1, 2], [1, 1, 0, 0]) == 0.75
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
+"""
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_repeated_profile_row_is_rejected(tmp_path, toy_csv, capsys):

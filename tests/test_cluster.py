@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
+from scipy.optimize import linear_sum_assignment
 
 from motifroles.cluster import (
     Dendrogram,
     FlatClustering,
     Merge,
+    _max_assignment,
     centroids,
     cut,
     parse_dendrogram,
@@ -369,6 +371,25 @@ def test_permutation_accuracy_equals_the_best_injective_label_map(pair):
     expected = injective_map_accuracy(pred, truth)
     assert permutation_accuracy(np.array(pred), np.array(truth)) == expected
     assert permutation_accuracy(np.array(truth), np.array(pred)) == expected
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(rows, 9))
+    high = draw(st.sampled_from([1, 4, 1000]))
+    cells = draw(st.lists(st.integers(-high, high), min_size=rows * cols,
+                          max_size=rows * cols))
+    return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
+@example(np.zeros((3, 5), dtype=np.int64))
+@example(np.array([[7]]))
+def test_assignment_matches_scipy_linear_sum_assignment(weight):
+    rows, cols = linear_sum_assignment(weight, maximize=True)
+    assert _max_assignment(weight.tolist()) == int(weight[rows, cols].sum())
 
 
 def test_dendrogram_validation():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from motifroles.graph import (
     EdgeListError,
@@ -181,6 +183,55 @@ def test_largest_scc_tie_break_smallest_min_index():
     # two disjoint 2-cycles: {0,1} and {2,3}
     g = _arc_graph(4, {(0, 1), (1, 0), (2, 3), (3, 2)})
     assert largest_scc(g) == {0, 1}
+
+
+def _scipy_largest_scc(n, arcs):
+    """The largest strongly connected component under the tie rule, from
+    scipy's connected_components."""
+    if n == 0:
+        return frozenset()
+    src, tgt = np.array(sorted(arcs), dtype=np.int64).reshape(-1, 2).T
+    adjacency = csr_matrix((np.ones(len(arcs), dtype=bool), (src, tgt)), shape=(n, n))
+    _, labels = connected_components(adjacency, directed=True, connection="strong")
+    comps = [frozenset(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+    return min(comps, key=lambda c: (-len(c), min(c)))
+
+
+@st.composite
+def tied_digraphs(draw):
+    """Equal-size cycles on shuffled nodes, joined by arcs that only run
+    forward along a random order of the cycles, plus random arcs."""
+    size = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 5))
+    n = size * count + draw(st.integers(0, 3))
+    nodes = draw(st.permutations(range(n)))
+    cycles = [nodes[i * size:(i + 1) * size] for i in range(count)]
+    arcs = {(c[i], c[(i + 1) % size]) for c in cycles if size > 1 for i in range(size)}
+    for i in range(count):
+        for j in range(i + 1, count):
+            if draw(st.booleans()):
+                u, v = draw(st.sampled_from(cycles[i])), draw(st.sampled_from(cycles[j]))
+                arcs.add((u, v))
+    if draw(st.booleans()):
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        arcs |= {(u, v) for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v}
+    return n, arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_digraphs())
+def test_largest_scc_matches_scipy(graph):
+    n, arcs = graph
+    assert largest_scc(_arc_graph(n, arcs)) == _scipy_largest_scc(n, arcs)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+def test_largest_scc_on_a_long_path_and_cycle(closed):
+    # deep enough that a recursive search would hit the recursion limit
+    n = 100_000
+    src = np.arange(n if closed else n - 1)
+    g = TemporalGraph([f"n{i}" for i in range(n)], src, (src + 1) % n, src.astype(float))
+    assert largest_scc(g) == (set(range(n)) if closed else {0})
 
 
 def test_filter_nodes_toy():
