@@ -40,6 +40,9 @@ from .profiles import build_positioned, build_positionless, read_profile_csv
 from .render import dendrogram_svg, heatmap_svg
 
 _TIE_FLAG = {"seq": "seq-order", "exclude": "exclude-ties"}
+# count refuses a window whose candidate bound exceeds this, unless
+# --max-candidates raises it: 10^8 candidates take minutes to classify
+MAX_CANDIDATES = 10**8
 
 
 def _sha256(path: Path) -> str:
@@ -86,6 +89,12 @@ def _cmd_count(args) -> None:
     bound = _bound(index)
     print(f"count: at most {bound} candidate triples to classify "
           f"(delta={args.delta:g})", file=sys.stderr)
+    if bound > args.max_candidates:
+        raise ValueError(
+            f"delta={args.delta:g} gives a candidate bound of {bound}, above the "
+            f"limit of {args.max_candidates}; use a smaller --delta or raise "
+            "the limit with --max-candidates"
+        )
     counts = count_motifs(graph, args.delta, _TIE_FLAG[args.ties], _index=index)
     out = _prepare_out(args.out)
     counts.write_csv(out / "counts.csv")
@@ -283,6 +292,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="equal-timestamp policy (default seq)")
     count.add_argument("--scc", action="store_true",
                        help="restrict to the largest strongly connected component")
+    count.add_argument("--max-candidates", type=int, default=MAX_CANDIDATES,
+                       help="refuse a larger candidate bound "
+                            f"(default {MAX_CANDIDATES})")
     count.add_argument("--out", required=True)
     count.set_defaults(func=_cmd_count)
 

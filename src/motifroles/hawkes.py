@@ -14,17 +14,22 @@ An excitation entry attaches to the excited pair's block pair. Each
 matching trigger adds alpha * beta * exp(-beta * (t - t_event)) to the
 intensity, so alpha is the expected number of directly spawned events.
 Sampling uses Ogata's thinning on the summed intensity, which only decays
-between events; runs are fully determined by (params, seed). All state is
-one (E+1, n*n) array, row 0 the baseline and row 1+i entry i's decaying
-excitation per pair, so a candidate costs a fixed handful of numpy calls
-whatever E is. The random draws and every float are those of a loop over
-separate per-entry arrays: decay, row sums and rate sums run in the same
-IEEE operations and order.
+between events; runs are fully determined by (params, seed). Entries that
+share a beta decay together, so each distinct beta is one group: an n*n
+array base[g] over the pairs, its sum S[g], and one float scale s[g], with
+the group's excitation of a pair s[g] * base[g]. A candidate only
+multiplies each scale by exp(-beta * dt) and forms the intensity
+mu_sum + sum_g s[g] * S[g] from floats, so a rejected candidate touches
+no array. An accepted one forms the per-pair rates to pick the pair and
+adds alpha * beta / s[g] to each cell the event excites. Before a scale
+falls below _FOLD it is folded into base[g] and reset to 1, which also
+absorbs a gap long enough for the decay to underflow to 0.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,6 +38,7 @@ import numpy as np
 from .graph import TemporalGraph
 
 EXCITATION_KINDS = ("self", "reciprocal", "shared-receiver", "broadcast")
+_FOLD = 1e-150  # smallest decay scale kept before folding it into its base
 
 
 @dataclass(frozen=True)
@@ -251,43 +257,45 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
 
     entries = params.excitations
     nn = n * n
-    states = np.zeros((len(entries) + 1, nn))
-    states[0] = mu.reshape(-1)
-    exc = states[1:]
-    flat = states.reshape(-1)
-    neg_beta = np.array([-e.beta for e in entries]).reshape(-1, 1)
+    mu = mu.reshape(-1)
+    betas = list(dict.fromkeys(e.beta for e in entries))  # one group per beta
+    group = [betas.index(e.beta) for e in entries]
+    neg_betas = [-beta for beta in betas]
+    base = [np.zeros(nn) for _ in betas]
+    scale = [1.0] * len(betas)
+    total = [0.0] * len(betas)  # total[g] is base[g].sum()
     lab = labels.tolist()
-    jumps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    members = [[v for v in range(n) if lab[v] == b] for b in range(params.n_blocks)]
+    jumps: dict[int, list[tuple[int, np.ndarray, np.ndarray, float]]] = {}
 
-    def jump_cells(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat state indices that event (p, q) excites, with alpha*beta each."""
-        cells, values = [], []
-        for row, e in enumerate(entries, start=1):
+    def jump_cells(p: int, q: int) -> list[tuple[int, np.ndarray, np.ndarray, float]]:
+        """Per group hit by event (p, q): the cells it excites, the summed
+        alpha*beta of each and their total, all before scaling."""
+        hits: list[dict[int, float]] = [{} for _ in betas]
+        for e, g in zip(entries, group):
+            b1, b2 = e.block_pair  # only pairs in the entry's block pair
             if e.kind == "self":
                 hit = [(p, q)]
             elif e.kind == "reciprocal":
                 hit = [(q, p)]
             elif e.kind == "shared-receiver":
-                hit = [(r, q) for r in range(n) if r != p]
+                hit = [(r, q) for r in members[b1] if r != p]
             else:  # broadcast: receiving node q sends onward
-                hit = [(q, c) for c in range(n) if c != p]
-            b1, b2 = e.block_pair  # only pairs in the entry's block pair
-            hit = [row * nn + a * n + b for a, b in hit
-                   if a != b and lab[a] == b1 and lab[b] == b2]
-            cells += hit
-            values += [e.alpha * e.beta] * len(hit)
-        return np.array(cells, dtype=np.intp), np.array(values, dtype=np.float64)
-
-    def total_excitation():
-        # one pairwise sum per contiguous entry row, then the rows in entry order
-        return sum(np.add.reduce(exc, axis=1).tolist())
+                hit = [(q, c) for c in members[b2] if c != p]
+            for a, b in hit:
+                if a != b and lab[a] == b1 and lab[b] == b2:
+                    cell = a * n + b
+                    hits[g][cell] = hits[g].get(cell, 0.0) + e.alpha * e.beta
+        return [(g, np.array(list(h), dtype=np.intp),
+                 np.array(list(h.values())), sum(h.values()))
+                for g, h in enumerate(hits) if h]
 
     events_src: list[int] = []
     events_tgt: list[int] = []
     events_time: list[float] = []
     candidates = 0
     t = 0.0
-    bound = mu_sum + total_excitation()
+    bound = mu_sum
     horizon = params.horizon
     while True:
         if bound <= 0.0:
@@ -298,15 +306,23 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
             break
         candidates += 1
         dt = t_cand - t
-        # np.exp, never math.exp: they differ in the last bit on some inputs
-        exc *= np.exp(neg_beta * dt)
-        lam = mu_sum + total_excitation()
+        lam = mu_sum
+        for g, neg_beta in enumerate(neg_betas):
+            s = scale[g] * math.exp(neg_beta * dt)
+            if s < _FOLD:  # also when the decay underflowed to 0
+                base[g] *= s
+                total[g] = float(base[g].sum())
+                s = 1.0
+            scale[g] = s
+            lam += s * total[g]
         if not lam <= bound * (1.0 + 1e-9):
             raise RuntimeError("thinning bound violated")
         accept = rng.random()
         if accept * bound <= lam:
-            # rates added baseline first, then entries in order
-            cum = np.add.reduce(states, axis=0).cumsum()
+            rates = mu
+            for row, s in zip(base, scale):
+                rates = rates + row * s
+            cum = rates.cumsum()
             pick = rng.random() * cum[-1]
             idx = min(int(cum.searchsorted(pick, side="right")), nn - 1)
             p, q = divmod(idx, n)
@@ -317,13 +333,15 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
                 raise RuntimeError("simulation exceeded max_events")
             if idx not in jumps:
                 jumps[idx] = jump_cells(p, q)
-            cells, values = jumps[idx]
-            flat[cells] += values  # distinct cells: each gets x + alpha*beta
-            t = t_cand
-            bound = mu_sum + total_excitation()
-        else:
-            t = t_cand
-            bound = lam
+            lam = mu_sum
+            for g, cells, values, value_sum in jumps[idx]:
+                s = scale[g]
+                base[g][cells] += values / s  # distinct cells within a group
+                total[g] += value_sum / s
+            for s, tot in zip(scale, total):
+                lam += s * tot
+        t = t_cand
+        bound = lam
     names = tuple(str(i) for i in range(n))
     graph = TemporalGraph(names, events_src, events_tgt, events_time)
     return SimulatedNetwork(graph=graph, labels=labels, candidates=candidates)

@@ -8,8 +8,6 @@ on a scale shared across the grids of one figure.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from . import catalog
@@ -34,6 +32,11 @@ _CELL = 24
 _GRID = 6 * _CELL
 
 
+def _escape(text: str) -> str:
+    """Text node escaping: &, < and > become entities, quotes stay."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _shade(value: float, vmax: float) -> str:
     if vmax <= 0:
         frac = 0.0
@@ -52,7 +55,7 @@ def _fmt(x: float) -> str:
 def _grid_svg(parts, x0, y0, values, vmax, caption):
     parts.append(
         f'<text x="{x0 + _GRID / 2:g}" y="{y0 - 26}" text-anchor="middle" '
-        f'font-size="12" fill="#222">{escape(caption)}</text>'
+        f'font-size="12" fill="#222">{_escape(caption)}</text>'
     )
     for c in range(6):
         parts.append(
@@ -112,7 +115,7 @@ def heatmap_svg(vector, kind: str, title: str) -> str:
         f'<stop offset="1" stop-color="{_shade(1.0, 1.0)}"/>'
         "</linearGradient></defs>",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{margin_left}" y="18" font-size="13" fill="#111">{escape(title)}</text>',
+        f'<text x="{margin_left}" y="18" font-size="13" fill="#111">{_escape(title)}</text>',
         f'<text x="{margin_left}" y="34" font-size="10" fill="#666">'
         "cells are motifs M(row,col), rows 1-6 top to bottom</text>",
     ]
@@ -195,7 +198,7 @@ def dendrogram_svg(
         parts.append(
             f'<text x="{x:.2f}" y="{margin + plot_h + 12}" font-size="10" fill="#222" '
             f'transform="rotate(90 {x:.2f} {margin + plot_h + 12})">'
-            f"{escape(str(node_names[leaf]))}</text>"
+            f"{_escape(str(node_names[leaf]))}</text>"
         )
     parts.append(
         f'<text x="{margin}" y="{margin - 16}" font-size="11" fill="#444">'

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -260,7 +261,8 @@ def test_no_module_imports_scipy():
 
 
 def test_commands_and_scoring_load_no_scipy_or_numpy_ma(tmp_path, toy_csv):
-    # a bare np.unique or np.setdiff1d imports numpy.ma (about 13 ms)
+    # a bare np.unique or np.setdiff1d imports numpy.ma (about 13 ms), and
+    # xml.sax.saxutils pulls in urllib.request, http, ssl and email (about 25 ms)
     src = Path(motifroles.__file__).resolve().parents[1]
     c, p, k, r, e = (str(tmp_path / d) for d in "cpkre")
     code = f"""
@@ -279,7 +281,8 @@ for argv in (
     assert main(argv) == 0, argv
 assert permutation_accuracy([0, 0, 1, 2], [1, 1, 0, 0]) == 0.75
 print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]))
+             if m.split(".")[0] in ("scipy", "xml", "http", "ssl", "email")
+             or m.split(".")[:2] in (["numpy", "ma"], ["urllib", "request"])))
 """
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -468,6 +471,19 @@ def test_eval_prints_the_gate_diagnostics_of_runs_csv(tmp_path, capsys):
     assert "\n".join(printed[:-1]) + "\n" == (out / "summary.csv").read_text()
 
 
+@pytest.mark.parametrize("which, digest", [
+    (1, "38325a0d7023dcba379951cb8303a57ea2275ce38788854828df86e96d4f1ccc"),
+    (2, "d4138e559de9b508e1f14a4abef1191c8bedebbd68ff15046f60c9b98de24f78"),
+])
+def test_eval_runs_csv_is_pinned(tmp_path, which, digest):
+    # recorded with the same-floats sampler that per-beta scales replaced:
+    # the scales keep every draw and decision, so runs.csv keeps its bytes
+    out = tmp_path / "eval"
+    assert main(["eval", "--scenario", str(which), "--runs", "8", "--seed", "0",
+                 "--k", "2", "--min-motifs", "10", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "runs.csv").read_bytes()).hexdigest() == digest
+
+
 def test_emitted_scenario_2_params_are_pinned(tmp_path):
     pfile = tmp_path / "params.json"
     assert main(["simulate", "--scenario", "2", "--emit-params", str(pfile),
@@ -584,6 +600,35 @@ def test_count_reports_candidate_triples(tmp_path, toy_csv, capsys):
     assert config["candidate_triples"] == 4
     assert config["candidate_bound"] == 12
     assert config["instances"] == 4
+
+
+def test_count_refuses_a_candidate_bound_over_the_limit(tmp_path, capsys):
+    # 3 nodes, every edge at one timestamp: counting would classify about
+    # 1.3e9 triples, while the bound takes milliseconds
+    edges = tmp_path / "tied.csv"
+    edges.write_text("source,target,timestamp\n" + "".join(
+        f"{'abc'[i % 3]},{'abc'[(i + 1) % 3]},0\n" for i in range(2000)))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["count", "--input", str(edges), "--delta", "1",
+                 "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (
+        "error: delta=1 gives a candidate bound of 2366372592, above the limit "
+        "of 100000000; use a smaller --delta or raise the limit with --max-candidates"
+    )
+    assert not out.exists()
+
+
+def test_max_candidates_flag_sets_the_limit(tmp_path, toy_csv, capsys):
+    # the toy network's bound is 12
+    argv = ["count", "--input", str(toy_csv), "--delta", "10"]
+    assert main([*argv, "--max-candidates", "11", "--out", str(tmp_path / "a")]) == 1
+    assert "bound of 12, above the limit of 11" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert main([*argv, "--max-candidates", "12", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "counts.csv").exists()
 
 
 def test_count_builds_the_incidence_index_once(tmp_path, toy_csv, monkeypatch):

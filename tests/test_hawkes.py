@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from motifroles import hawkes
 from motifroles.cluster import write_labels_csv
 from motifroles.graph import write_edge_list
 from motifroles.hawkes import (
@@ -300,10 +302,13 @@ class TestScenarios:
 
 
 def thinning_reference(params, seed):
-    """The thinning loop that simulate replaced: one n x n state array per
-    excitation entry and about 3E numpy calls per candidate. simulate must
-    draw the same numbers and form the same floats, so its networks must
-    equal these exactly. Returns (src, tgt, time, labels, candidates).
+    """Plain thinning: one n x n state array per excitation entry, each
+    decayed by np.exp at every candidate. simulate must make the same
+    draws in the same order and take the same accept and pick decisions,
+    so its sources, targets, labels and candidate count equal these
+    exactly. simulate forms its intensities from per-beta scales instead,
+    so the event times agree only to rounding (rtol 1e-12).
+    Returns (src, tgt, time, labels, candidates).
 
     This reference goes when a sampler that draws different numbers, such
     as the branching representation, replaces thinning; the time-rescaling
@@ -377,12 +382,24 @@ def thinning_reference(params, seed):
     return src, tgt, times, labels.tolist(), candidates
 
 
+def spy_on_decays(monkeypatch):
+    """Records every decay factor simulate takes from math.exp, in order."""
+    decays = []
+
+    def exp(x):
+        decays.append(math.exp(x))
+        return decays[-1]
+
+    monkeypatch.setattr(hawkes, "math", types.SimpleNamespace(exp=exp))
+    return decays
+
+
 def assert_same_as_reference(params, seed):
     net = simulate(params, seed)
     src, tgt, times, labels, candidates = thinning_reference(params, seed)
     assert net.graph.src.tolist() == src
     assert net.graph.tgt.tolist() == tgt
-    assert net.graph.time.tolist() == times
+    np.testing.assert_allclose(net.graph.time, times, rtol=1e-12, atol=0)
     assert net.labels.tolist() == labels
     assert net.candidates == candidates
 
@@ -458,22 +475,36 @@ class TestThinningReference:
         for seed in range(20):
             assert_same_as_reference(params, seed)
 
-    def test_numpy_reductions_keep_the_reference_order(self):
-        # simulate's floats equal the reference's only because reducing a
-        # C-contiguous stack over axis 0 adds the rows one after another,
-        # and reducing over axis 1 sums each row pairwise as s.sum() does.
-        # A rate sum in another order rarely moves a pick, so the network
-        # tests above can miss it; on this data other orders differ.
-        rng = np.random.default_rng(0)
-        for rows in range(1, 13):
-            scale = 10.0 ** rng.integers(-8, 8, size=(rows, 1))
-            stack = rng.standard_normal((rows, 400)) * scale
-            loop = stack[0].copy()
-            for row in stack[1:]:
-                loop += row
-            assert np.add.reduce(stack, axis=0).tolist() == loop.tolist()
-            sums = [row.reshape(20, 20).sum() for row in stack]
-            assert np.add.reduce(stack, axis=1).tolist() == sums
+    @pytest.mark.parametrize("seed", range(3))
+    def test_decay_underflowing_to_zero(self, monkeypatch, seed):
+        # a baseline of 0.003 over the 6 pairs leaves waits of several
+        # hundred time units, where exp(-4 dt) and exp(-dt) are exactly 0
+        params = one_block_params(
+            mu=0.0005, horizon=20000.0, n_nodes=3,
+            excitations=[Excitation("self", (0, 0), alpha=0.6, beta=4.0),
+                         Excitation("reciprocal", (0, 0), alpha=0.3, beta=1.0)],
+        )
+        decays = spy_on_decays(monkeypatch)
+        assert_same_as_reference(params, seed)
+        assert decays.count(0.0) >= 10
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scale_folds_many_times(self, monkeypatch, seed):
+        # one beta, so the product of the decays since the last fold is the
+        # group's scale; it crosses the fold threshold about every 86 time
+        # units at beta 4
+        params = one_block_params(
+            mu=0.05, horizon=3000.0, n_nodes=3,
+            excitations=[Excitation("self", (0, 0), alpha=0.5, beta=4.0)],
+        )
+        decays = spy_on_decays(monkeypatch)
+        assert_same_as_reference(params, seed)
+        folds, scale = 0, 1.0
+        for decay in decays:
+            scale *= decay
+            if scale < hawkes._FOLD:
+                folds, scale = folds + 1, 1.0
+        assert folds >= 20
 
     def test_candidates_count_the_accept_tests(self):
         poisson = one_block_params(mu=0.3, horizon=40.0, n_nodes=3)

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -126,3 +127,13 @@ def test_dendrogram_name_count_must_match():
     d = ward_linkage(np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
         dendrogram_svg(d, ["only one"], k_highlight=1)
+
+
+def test_node_name_with_markup_characters_is_escaped_like_saxutils():
+    name = "a&b<c>\"d'e"
+    d = ward_linkage(np.array([[0.0], [1.0]]))
+    svg = dendrogram_svg(d, [name, "plain"], k_highlight=1)
+    assert f">{saxutils.escape(name)}</text>" in svg
+    assert ">a&amp;b&lt;c&gt;\"d'e</text>" in svg
+    texts = [t.text for t in ET.fromstring(svg).iter(f"{SVG_NS}text")]
+    assert name in texts
