@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import motifroles
-from motifroles import counting
+from motifroles import catalog, counting
 from motifroles.cli import main
 from motifroles.counting import read_count_csv
 from motifroles.graph import parse_edge_list
 from motifroles.hawkes import SCENARIO_DELTAS, read_params, scenario_params
+from motifroles.profiles import ProfileMatrix
 from conftest import TOY_EDGES
 
 TOY_CSV = "source,target,timestamp\n" + "".join(
@@ -484,6 +485,53 @@ def test_eval_runs_csv_is_pinned(tmp_path, which, digest):
     assert hashlib.sha256((out / "runs.csv").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("which, edges_digest", [
+    (1, "b7d89d7f22fff46382852421fc7e34e1e799d062c7c52eaa4e1e1b14e908bbe3"),
+    (2, "7bb553edb1850b295fd2244c622585b1e8bd0d10be0ba659c533df31cf9c44a9"),
+])
+def test_simulate_outputs_are_pinned(tmp_path, which, edges_digest):
+    # runs.csv above checks rounded counts and accuracies only; these pins
+    # catch a drift in the last bit of any event time
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", str(which), "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "edges.csv").read_bytes()).hexdigest() == edges_digest
+    assert hashlib.sha256((out / "labels.csv").read_bytes()).hexdigest() == (
+        "9dd5213eff14147fa03122d70b8408596b6aa08dbd329d1054711a1f95a98990"
+    )
+
+
+def sparse_count_profiles(n_rows, seed):
+    """Positioned profiles from small integer counts on a few cells each,
+    drawn with a fixed 64-bit LCG so that the input does not depend on
+    numpy's generators; many rows and distances tie exactly."""
+    x, rows = seed, []
+    for _ in range(n_rows):
+        row = [0] * catalog.N_POSITIONED_CELLS
+        for _ in range(5):
+            x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+            row[(x >> 33) % 24 * 4] += 1 + (x >> 20) % 3
+        rows.append(row)
+    counts = np.array(rows, dtype=np.float64)
+    return ProfileMatrix("positioned", tuple(f"n{i}" for i in range(n_rows)),
+                         counts / counts.sum(axis=1, keepdims=True), ())
+
+
+def test_cluster_dendrograms_are_pinned(tmp_path, toy_csv):
+    *_, kdir = run_pipeline(tmp_path / "toy", toy_csv)
+    pfile = tmp_path / "profiles.csv"
+    sparse_count_profiles(700, seed=5).write_csv(pfile)
+    wide = tmp_path / "wide"
+    assert main(["cluster", "--profiles", str(pfile), "--k", "4",
+                 "--out", str(wide)]) == 0
+    digests = [hashlib.sha256((d / "dendrogram.txt").read_bytes()).hexdigest()
+               for d in (kdir, wide)]
+    assert digests == [
+        "6d0e6f1004bdd7b702ea673d826ee3a6009f4c5250d3ebb1c5249a3900251fdf",
+        "82bebad93dfe3528f2ec2b6e39a6b74f67897aacc995b09b53e8dd0b226b0de2",
+    ]
+
+
 def test_emitted_scenario_2_params_are_pinned(tmp_path):
     pfile = tmp_path / "params.json"
     assert main(["simulate", "--scenario", "2", "--emit-params", str(pfile),
@@ -491,6 +539,28 @@ def test_emitted_scenario_2_params_are_pinned(tmp_path):
     assert hashlib.sha256(pfile.read_bytes()).hexdigest() == (
         "5f4fd03d482e1ea9dec9590f852f86e7db3c31ba67588b7a8ed8799266b8201b"
     )
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", float("nan"), "alpha must be non-negative"),
+    ("block_probs", [float("nan"), 1.0], "block_probs must be non-negative"),
+])
+def test_simulate_rejects_nan_params(tmp_path, capsys, field, value, message):
+    # before, a NaN alpha ended in "thinning bound violated", and a NaN
+    # block probability with fixed labels simulated and emitted NaN
+    payload = json.loads(scenario_params(1).to_json())
+    payload["block_assignment"] = [i % 2 for i in range(payload["n_nodes"])]
+    if field == "alpha":
+        payload["excitations"][0]["alpha"] = value
+    else:
+        payload["block_probs"] = value
+    pfile = tmp_path / "nan.json"
+    pfile.write_text(json.dumps(payload))
+    emitted, out = tmp_path / "emitted.json", tmp_path / "sim"
+    assert main(["simulate", "--params", str(pfile), "--emit-params", str(emitted),
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not emitted.exists()
 
 
 def test_params_file_may_start_with_a_byte_order_mark(tmp_path):

@@ -17,6 +17,7 @@ from motifroles.hawkes import (
     BlockHawkesParams,
     Excitation,
     SCENARIO_DELTAS,
+    excitation_map,
     intensity,
     read_params,
     scenario_delta,
@@ -122,6 +123,23 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             p.validate()
+
+    def test_nan_alpha_rejected(self):
+        # NaN passed `alpha < 0`, and stability_margin() then read 1.0
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            Excitation("self", (0, 0), alpha=float("nan"), beta=1.0)
+
+    def test_nan_block_prob_rejected_with_fixed_labels(self):
+        # NaN passed both the minimum and the sum check, so simulate ran on
+        # the fixed labels and the params went out with a NaN in them
+        p = BlockHawkesParams(
+            n_nodes=4, block_probs=(float("nan"), 1.0), horizon=10.0,
+            baseline=((0.1, 0.1), (0.1, 0.1)), block_assignment=(0, 1, 0, 1),
+        )
+        with pytest.raises(ValueError, match="block_probs must be non-negative"):
+            p.validate()
+        with pytest.raises(ValueError):
+            simulate(p, seed=0)
 
     def test_unstable_params_rejected(self):
         p = one_block_params(
@@ -513,6 +531,59 @@ class TestThinningReference:
         assert net.candidates == net.graph.n_edges > 0
         net = simulate(scenario_params(1), seed=4)
         assert net.candidates > net.graph.n_edges
+
+
+class TestExcitationMap:
+    @settings(max_examples=50, deadline=None)
+    @given(random_params(), st.data())
+    def test_rows_equal_the_intensity_formula(self, params, data):
+        # one event on (p, q) at time 0, read at a time so small that every
+        # kernel still equals alpha * beta: the jump of each pair's intensity
+        # is what the map's row for (p, q) puts on that pair
+        n = params.n_nodes
+        labels = params.block_assignment or data.draw(
+            st.lists(st.integers(0, params.n_blocks - 1), min_size=n, max_size=n))
+        groups = excitation_map(params, labels)
+        assert [g.beta for g in groups] == list(dict.fromkeys(e.beta for e in params.excitations))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for p, q in pairs:
+            row: dict[int, float] = {}
+            for g in groups:
+                start, stop = g.indptr[p * n + q], g.indptr[p * n + q + 1]
+                cells, values = g.cells[start:stop].tolist(), g.values[start:stop].tolist()
+                assert len(set(cells)) == len(cells)
+                # the row's total is its values added left to right from 0.0
+                total = 0.0
+                for value in values:
+                    total += value
+                assert g.totals[p * n + q] == total
+                for cell, value in zip(cells, values):
+                    row[cell] = row.get(cell, 0.0) + value
+            for u, v in pairs:
+                mu = params.baseline[labels[u]][labels[v]]
+                jump = intensity(params, [(p, q, 0.0)], (u, v), 1e-300, labels) - mu
+                if u * n + v in row:
+                    assert row[u * n + v] == pytest.approx(jump, rel=1e-12)
+                else:
+                    assert jump == 0.0
+
+    def test_rows_list_cells_in_first_hit_order(self):
+        # entries of one kind and block pair sum onto the same cells, and a
+        # later entry of another kind appends its cells after them
+        params = BlockHawkesParams(
+            n_nodes=4, block_probs=(1.0,), horizon=1.0, baseline=((0.1,),),
+            excitations=(
+                Excitation("broadcast", (0, 0), alpha=0.1, beta=2.0),
+                Excitation("self", (0, 0), alpha=0.2, beta=2.0),
+                Excitation("broadcast", (0, 0), alpha=0.05, beta=2.0),
+                Excitation("self", (0, 0), alpha=0.0, beta=1.0),
+            ),
+        )
+        broadcast, zero = excitation_map(params, (0, 0, 0, 0))
+        start, stop = broadcast.indptr[1], broadcast.indptr[2]  # event (0, 1)
+        assert broadcast.cells[start:stop].tolist() == [1 * 4 + 2, 1 * 4 + 3, 0 * 4 + 1]
+        assert broadcast.values[start:stop].tolist() == [0.2 + 0.1, 0.2 + 0.1, 0.4]
+        assert zero.beta == 1.0 and zero.cells.size == 0 and not zero.totals.any()
 
 
 def rescaled_increments(params, net):
