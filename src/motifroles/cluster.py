@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .table import read_table, write_table
+from .table import write_table
 
 _HEIGHT_SLACK = 1e-9  # relative tolerance for the monotonicity check
 
@@ -52,6 +52,8 @@ class Dendrogram:
             if sizes[m.left] + sizes[m.right] != m.size:
                 raise ValueError("merge size must equal the sum of child sizes")
             sizes[new_id] = m.size
+            if math.isnan(m.height):
+                raise ValueError("merge height must not be NaN")
             if m.height < prev - _HEIGHT_SLACK * max(1.0, abs(prev)):
                 raise ValueError("merge heights must be non-decreasing")
             prev = max(prev, m.height)
@@ -109,8 +111,8 @@ def _as_points(profiles) -> np.ndarray:
 def ward_linkage(profiles) -> Dendrogram:
     """Agglomerate with Ward's criterion via Lance-Williams updates.
 
-    Accepts a ProfileMatrix or a plain (n, d) array. Heights are checked
-    non-decreasing on every run.
+    Accepts a ProfileMatrix or a plain (n, d) array. The Dendrogram it
+    returns checks on every run that no height is NaN or decreasing.
 
     This is the generic algorithm with a nearest-neighbour cache (Muellner,
     arXiv:1109.2378): one n x n distance matrix, where a merged cluster
@@ -136,15 +138,11 @@ def ward_linkage(profiles) -> Dendrogram:
     sizes = np.ones(n, dtype=np.int64)
     order = np.arange(n)  # live slots in id order
     merges: list[Merge] = []
-    last_height = 0.0
     for step in range(n - 1):
         best = int(np.argmin(nn_dist[order]))  # smallest (left, right) on ties
         a = int(order[best])
         b = int(nn[a])
         height = float(nn_dist[a])
-        if not height >= last_height - _HEIGHT_SLACK * max(1.0, abs(last_height)):
-            raise RuntimeError("ward merge heights must be non-decreasing")
-        last_height = max(last_height, height)
         si, sj = sizes[a], sizes[b]
         order = order[(order != a) & (order != b)]
         sk = sizes[order]
@@ -343,8 +341,3 @@ def write_labels_csv(node_names: Sequence[str], labels, path, column: str) -> No
     if len(node_names) != arr.shape[0]:
         raise ValueError("name count does not match label count")
     write_table(path, ("node", column), zip(node_names, arr.tolist()))
-
-
-def read_labels_csv(source, column: str) -> tuple[tuple[str, ...], np.ndarray]:
-    _, names, rows = read_table(source, "labels CSV", [("node", column)], int)
-    return names, np.array(rows, dtype=np.int64).reshape(len(names))

@@ -64,8 +64,10 @@ class PositionCountMatrix:
     counts has shape (n_nodes, 36, 3); position 3 of the four two-node
     motifs is structurally zero. delta and tie_policy are None when the
     matrix was loaded from a counts CSV (they travel in the manifest).
-    candidates is the number of edge triples count_motifs classified; it
-    is None for a matrix loaded from CSV or built any other way.
+    candidates is the number of edge triples count_motifs classified and
+    candidate_bound the upper bound on it that count_motifs checked before
+    classifying; both are None for a matrix loaded from CSV or built any
+    other way.
     """
 
     node_names: tuple[str, ...]
@@ -74,6 +76,7 @@ class PositionCountMatrix:
     delta: float | None
     tie_policy: str | None
     candidates: int | None = None
+    candidate_bound: int | None = None
 
     def __post_init__(self):
         if self.counts.shape != (len(self.node_names), catalog.N_MOTIFS, 3):
@@ -257,28 +260,10 @@ def _incidence(g: TemporalGraph, ends: np.ndarray):
 
 
 def _pair_weights(lens: np.ndarray) -> np.ndarray:
-    """C(width, 2) per first edge, width being both endpoints' list windows."""
+    """C(width, 2) per first edge, width being both endpoints' list windows;
+    an edge joining both endpoints counts twice in width."""
     width = lens.reshape(-1, 2).sum(axis=1)
     return width * (width - 1) // 2
-
-
-def _window_index(g: TemporalGraph, delta: float):
-    """_incidence over g's delta windows, after checking delta."""
-    return _incidence(g, _window_ends(g.time, _check_delta(delta)))
-
-
-def _bound(index) -> int:
-    """The sum over first edges of C(width, 2), taken in Python ints, so no
-    input size overflows it."""
-    *_, lens = index
-    return int(_pair_weights(lens).sum(dtype=object))
-
-
-def candidate_bound(g: TemporalGraph, delta: float) -> int:
-    """Upper bound on the triples count_motifs classifies: the sum over
-    first edges of C(width, 2), computed in O(m log m) without
-    enumerating. An edge joining both endpoints counts twice in width."""
-    return _bound(_window_index(g, delta))
 
 
 def _groups(g: TemporalGraph, index):
@@ -322,19 +307,33 @@ def _pairs(size: np.ndarray):
 
 
 def count_motifs(
-    g: TemporalGraph, delta: float, tie_policy: str = "seq-order", *, _index=None
+    g: TemporalGraph,
+    delta: float,
+    tie_policy: str = "seq-order",
+    *,
+    max_candidates: int | None = None,
 ) -> PositionCountMatrix:
     """Count all motif instances within the delta window.
 
     For each first edge (u, v) only the later edges inside its window that
     touch u or v are paired. This is exact because every edge of an
     instance touches u or v (see the module docstring). `candidates`
-    records how many triples were classified. _index, when given, is
-    _window_index(g, delta), built once by a caller that also wants the
-    candidate bound.
+    records how many triples were classified and `candidate_bound` the
+    sum over first edges of C(width, 2), an upper bound on it taken in
+    O(m log m) before classifying. When that bound is above
+    max_candidates, ValueError is raised before any triple is classified.
     """
     delta = _check_delta(delta)
     tie_policy = _check_tie_policy(tie_policy)
+    index = _incidence(g, _window_ends(g.time, delta))
+    # Python ints, so no input size overflows the sum
+    bound = int(_pair_weights(index[2]).sum(dtype=object))
+    if max_candidates is not None and bound > max_candidates:
+        raise ValueError(
+            f"delta={delta:g} gives a candidate bound of {bound}, above the "
+            f"limit of {max_candidates}; use a smaller delta or raise the "
+            "limit (--max-candidates on the command line)"
+        )
     exclude_ties = tie_policy == "exclude-ties"
     n = g.n_nodes
     n_cells = n * catalog.N_CSV_CELLS
@@ -344,7 +343,6 @@ def count_motifs(
     # small blocks do not each pay a pass over the whole count array
     pending, n_pending = [], 0
     candidates = 0
-    index = _window_index(g, delta) if _index is None else _index
     for first, edge, code, third, size in _groups(g, index):
         code9 = code * 9
         if exclude_ties:
@@ -383,4 +381,5 @@ def count_motifs(
         delta=delta,
         tie_policy=tie_policy,
         candidates=candidates,
+        candidate_bound=bound,
     )

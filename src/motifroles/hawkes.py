@@ -309,16 +309,10 @@ def excitation_map(params: BlockHawkesParams, labels) -> list[ExcitationGroup]:
                 value.append(np.full(sources.size, jump))
         src, hit, value = map(np.concatenate, (src, hit, value))
         order = np.argsort(src, kind="stable")  # keeps first-hit order per row
-        cells, values = hit[order], value[order]
-        lengths = np.bincount(src, minlength=n * n)
-        indptr = np.zeros(n * n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        width = np.arange(lengths.max(initial=0))
-        padded = np.zeros((n * n, width.size))
-        padded[width < lengths[:, None]] = values  # fills row by row, in CSR order
+        src, cells, values = src[order], hit[order], value[order]
+        indptr = np.searchsorted(src, np.arange(n * n + 1))
         totals = np.zeros(n * n)
-        for column in padded.T:  # left to right, as sum() adds
-            totals += column
+        np.add.at(totals, src, values)  # each row left to right, as sum() adds
         groups.append(ExcitationGroup(beta, indptr, cells, values, totals))
     return groups
 

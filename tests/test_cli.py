@@ -244,6 +244,35 @@ def test_csv_format_lives_in_the_table_module():
     assert writers == {"table.py"}
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a private name stays inside its module; dunders such as __version__
+    # are public
+    package = Path(motifroles.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "motifroles"):
+                found += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("_") and not a.name.startswith("__")]
+    assert found == []
+
+
+def test_render_rejects_a_nan_merge_height(tmp_path, toy_csv, capsys):
+    _, pdir, kdir = run_pipeline(tmp_path, toy_csv, k=2)
+    text = (kdir / "dendrogram.txt").read_text(encoding="utf-8")
+    merge = next(line for line in text.splitlines() if line.startswith("merge "))
+    left, right, _, size = merge.split()[1:]
+    bad = tmp_path / "nan.txt"
+    bad.write_text(text.replace(merge, f"merge {left} {right} nan {size}"),
+                   encoding="utf-8")
+    out = tmp_path / "r"
+    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                 "--dendrogram", str(bad), "--k", "2", "--out", str(out)]) == 1
+    assert "NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_module_imports_scipy():
     # scipy's import chain cost every command about 0.35 s of start-up;
     # it stays a test-time oracle only
@@ -663,9 +692,8 @@ def test_count_reports_candidate_triples(tmp_path, toy_csv, capsys):
     assert main(["count", "--input", str(toy_csv), "--delta", "10",
                  "--out", str(out)]) == 0
     printed = capsys.readouterr()
-    assert "(4 candidate triples)" in printed.out
-    # the bound is announced before counting, on stderr
-    assert printed.err == "count: at most 12 candidate triples to classify (delta=10)\n"
+    assert "(4 candidate triples of at most 12)" in printed.out
+    assert printed.err == ""
     config = check_manifest(out, "count")["config"]
     assert config["candidate_triples"] == 4
     assert config["candidate_bound"] == 12
@@ -686,7 +714,8 @@ def test_count_refuses_a_candidate_bound_over_the_limit(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == (
         "error: delta=1 gives a candidate bound of 2366372592, above the limit "
-        "of 100000000; use a smaller --delta or raise the limit with --max-candidates"
+        "of 100000000; use a smaller delta or raise the limit (--max-candidates "
+        "on the command line)"
     )
     assert not out.exists()
 

@@ -17,11 +17,11 @@ from motifroles.cluster import (
     cut,
     parse_dendrogram,
     permutation_accuracy,
-    read_labels_csv,
     serialize_dendrogram,
     ward_linkage,
     write_labels_csv,
 )
+from motifroles.table import read_table
 
 
 def test_two_points_merge_at_squared_gap_over_two_times_sizes():
@@ -206,6 +206,13 @@ def test_linkage_equals_reference_when_distances_overflow():
     assert got[-1][:2] == (2, 3)
 
 
+def test_ward_rejects_overflow_that_turns_a_height_nan():
+    # the gaps overflow, and a Lance-Williams update then gives inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="NaN"):
+            ward_linkage(np.array([[0.0], [1e200], [3e200], [-1e200]]))
+
+
 def test_ward_rejects_nan_profiles():
     with pytest.raises(ValueError, match="finite"):
         ward_linkage(np.array([[0.0, 1.0], [np.nan, 0.5], [2.0, 0.0]]))
@@ -295,7 +302,7 @@ def test_bool_integer_and_whole_float_labels_are_accepted(tmp_path):
     assert permutation_accuracy([0.0, 1.0, 1.0, 1.0], truth) == 0.75
     path = tmp_path / "labels.csv"
     write_labels_csv(["a", "b"], np.array([True, False]), path, "cluster")
-    assert read_labels_csv(path, "cluster")[1].tolist() == [1, 0]
+    assert read_table(path, "labels CSV", [("node", "cluster")], int)[2] == [[1], [0]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -429,12 +436,18 @@ def test_parse_dendrogram_rejects_garbage():
         parse_dendrogram("n_leaves 2\nleaf 0 A\nmerge 0 1 1.0 2\n")
 
 
+def test_parse_dendrogram_rejects_a_nan_height():
+    with pytest.raises(ValueError, match="NaN"):
+        parse_dendrogram("n_leaves 3\nleaf 0 A\nleaf 1 B\nleaf 2 C\n"
+                         "merge 0 1 nan 2\nmerge 2 3 1.0 3\n")
+
+
 def test_labels_csv_round_trip(tmp_path):
     path = tmp_path / "clusters.csv"
     write_labels_csv(("A", "B", "C"), np.array([0, 1, 0]), path, "cluster")
-    names, labels = read_labels_csv(path, "cluster")
+    _, names, rows = read_table(path, "labels CSV", [("node", "cluster")], int)
     assert names == ("A", "B", "C")
-    assert list(labels) == [0, 1, 0]
+    assert rows == [[0], [1], [0]]
 
 
 def test_leaf_order_is_a_permutation():

@@ -379,17 +379,18 @@ def test_candidates_lie_between_instances_and_window_triples(seed, integer_times
     t = g.time
     widths = [int(np.sum(t[i + 1:] - t[i] <= delta)) for i in range(g.n_edges)]
     window_triples = sum(w * (w - 1) // 2 for w in widths)
-    bound = counting.candidate_bound(g, delta)
     for policy in ("seq-order", "exclude-ties"):
         counted = count_motifs(g, delta, tie_policy=policy)
         assert counted.total_instances() <= counted.candidates <= window_triples
-        assert counted.candidates <= bound
+        assert counted.candidates <= counted.candidate_bound
 
 
 def test_candidates_are_none_when_not_counted(tmp_path, toy_counts):
     assert toy_counts.candidates == 4
     text = _counts_text(tmp_path, toy_counts)
-    assert read_count_csv(io.StringIO(text)).candidates is None
+    loaded = read_count_csv(io.StringIO(text))
+    assert loaded.candidates is None
+    assert loaded.candidate_bound is None
 
 
 # Recorded from the counter before its per-member rewrite; counts_sha256 is
@@ -432,11 +433,14 @@ def test_candidate_bound_is_cheap_where_counting_is_not():
     m = 2000
     src = np.arange(m) % 3
     g = TemporalGraph(["a", "b", "c"], src, (src + 1) % 3, np.zeros(m))
-    start = time.perf_counter()
-    bound = counting.candidate_bound(g, 1.0)
-    assert time.perf_counter() - start < 0.5
     # each of the L later edges touches an endpoint of edge i, and the
     # L // 3 on the same node pair sit in both endpoints' lists
     later = [m - 1 - i for i in range(m)]
     widths = [n + n // 3 for n in later]
-    assert bound == sum(w * (w - 1) // 2 for w in widths) > 10**9
+    bound = sum(w * (w - 1) // 2 for w in widths)
+    assert bound > 10**9
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"candidate bound of {bound}, above the "
+                                         "limit of 100000000"):
+        count_motifs(g, 1.0, max_candidates=10**8)
+    assert time.perf_counter() - start < 0.5

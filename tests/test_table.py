@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from motifroles.cluster import read_labels_csv, write_labels_csv
+from motifroles.cluster import write_labels_csv
 from motifroles.counting import read_count_csv
 from motifroles.table import read_table, table_text, write_table
 
@@ -46,7 +46,7 @@ def test_node_keyed_readers_reject_a_repeated_node(tmp_path, toy_counts):
     path = tmp_path / "labels.csv"
     write_labels_csv(("A", "B", "A"), np.array([0, 1, 0]), path, "cluster")
     with pytest.raises(ValueError, match="labels CSV: row 4: node 'A' repeats"):
-        read_labels_csv(path, "cluster")
+        read_table(path, "labels CSV", [("node", "cluster")], int)
     path = tmp_path / "counts.csv"
     toy_counts.write_csv(path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
