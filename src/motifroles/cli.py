@@ -1,8 +1,12 @@
 """Command-line pipeline: count, profile, cluster, render, simulate, eval.
 
-Every subcommand does all of its computing first and only then creates
---out and writes its outputs plus a manifest.json there, so a run that
-fails leaves no directory behind. Input values are checked once, by the
+Every subcommand only computes. It returns the files of its run, as a
+dict from file name to a writer taking a path, its config, its input
+paths and the text it prints. `main` alone then creates --out, runs the
+writers, writes a manifest.json with the digests of exactly those files
+and prints the text. So a run that fails leaves no directory behind, no
+command writes outside --out, and a manifest never lists a file that an
+earlier run left in --out. Input values are checked once, by the
 library. Runs are reproducible: identical configuration and inputs give
 byte-identical outputs. Exit codes: 0 success, 1 validation error, 2 I/O
 error.
@@ -54,32 +58,27 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
-    outputs = {}
-    for p in sorted(out_dir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        outputs[p.name] = _sha256(p)
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
+                    outputs) -> None:
     manifest = {
         "tool": "motifroles",
         "version": __version__,
         "command": command,
         "config": config,
         "inputs": {name: _sha256(Path(path)) for name, path in inputs.items()},
-        "outputs": outputs,
+        "outputs": {name: _sha256(out_dir / name) for name in outputs},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
-def _prepare_out(raw: str) -> Path:
-    out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _text(content: str):
+    """A writer of `content` as UTF-8 text."""
+    return lambda path: path.write_text(content, encoding="utf-8")
 
 
-def _cmd_count(args) -> None:
+def _cmd_count(args):
     graph = parse_edge_list(args.input)
     scc_kept = None
     if args.scc:
@@ -88,9 +87,8 @@ def _cmd_count(args) -> None:
         graph = filter_nodes(graph, component)
     counts = count_motifs(graph, args.delta, _TIE_FLAG[args.ties],
                           max_candidates=args.max_candidates)
-    out = _prepare_out(args.out)
-    counts.write_csv(out / "counts.csv")
-    counts.write_motif_totals_csv(out / "motif_totals.csv")
+    files = {"counts.csv": counts.write_csv,
+             "motif_totals.csv": counts.write_motif_totals_csv}
     config = {
         "input": args.input,
         "delta": counts.delta,
@@ -101,37 +99,32 @@ def _cmd_count(args) -> None:
         "candidate_bound": counts.candidate_bound,
         "instances": counts.total_instances(),
     }
-    _write_manifest(out, "count", config, {"edges": args.input})
-    print(f"counted {counts.total_instances()} motif instances "
-          f"({counts.candidates} candidate triples of at most "
-          f"{counts.candidate_bound}) over "
-          f"{graph.n_edges} edges, {graph.n_nodes} nodes (delta={counts.delta:g})")
-    print("instances by motif cell (rows 1-6, columns 1-6):")
     grid = counts.motif_totals.reshape(6, 6)
-    print("      " + "".join(f"c{c + 1:<9}" for c in range(6)))
-    for r in range(6):
-        print(f"  r{r + 1}  " + "".join(f"{int(v):<10}" for v in grid[r]))
+    lines = [
+        f"counted {counts.total_instances()} motif instances "
+        f"({counts.candidates} candidate triples of at most "
+        f"{counts.candidate_bound}) over "
+        f"{graph.n_edges} edges, {graph.n_nodes} nodes (delta={counts.delta:g})",
+        "instances by motif cell (rows 1-6, columns 1-6):",
+        "      " + "".join(f"c{c + 1:<9}" for c in range(6)),
+        *(f"  r{r + 1}  " + "".join(f"{int(v):<10}" for v in grid[r]) for r in range(6)),
+    ]
+    return files, config, {"edges": args.input}, "\n".join(lines) + "\n"
 
 
-def _cmd_profile(args) -> None:
+def _cmd_profile(args):
     counts = read_count_csv(args.counts)
     builder = build_positionless if args.positionless else build_positioned
     prof = builder(counts, min_motifs=args.min_motifs)
     if prof.n_profiled == 0:
         raise ValueError("no node passes the participation filter")
-    out = _prepare_out(args.out)
-    prof.write_csv(out / "profiles.csv")
-    prof.write_dropped_csv(out / "dropped.csv")
-    config = {
-        "counts": args.counts,
-        "min_motifs": args.min_motifs,
-        "kind": prof.kind,
-    }
-    _write_manifest(out, "profile", config, {"counts": args.counts})
-    print(f"profiled {prof.n_profiled} nodes ({prof.kind}); dropped {len(prof.dropped)}")
+    files = {"profiles.csv": prof.write_csv, "dropped.csv": prof.write_dropped_csv}
+    config = {"counts": args.counts, "min_motifs": args.min_motifs, "kind": prof.kind}
+    text = f"profiled {prof.n_profiled} nodes ({prof.kind}); dropped {len(prof.dropped)}\n"
+    return files, config, {"counts": args.counts}, text
 
 
-def _cmd_cluster(args) -> None:
+def _cmd_cluster(args):
     prof = read_profile_csv(args.profiles)
     if args.k < 1 or args.k > max(prof.n_profiled, 1):
         raise ValueError(
@@ -139,22 +132,24 @@ def _cmd_cluster(args) -> None:
         )
     dendro = ward_linkage(prof)
     clustering = cut(dendro, args.k)
-    text = serialize_dendrogram(dendro, prof.node_names)
-    out = _prepare_out(args.out)
-    (out / "dendrogram.txt").write_text(text, encoding="utf-8")
-    write_labels_csv(prof.node_names, clustering, out / "clusters.csv", "cluster")
+    files = {
+        "dendrogram.txt": _text(serialize_dendrogram(dendro, prof.node_names)),
+        "clusters.csv": lambda path: write_labels_csv(
+            prof.node_names, clustering, path, "cluster"
+        ),
+    }
     config = {"profiles": args.profiles, "k": args.k, "kind": prof.kind}
-    _write_manifest(out, "cluster", config, {"profiles": args.profiles})
     sizes = ", ".join(str(int(s)) for s in clustering.sizes())
-    print(f"cut {prof.n_profiled} profiles into k={args.k} clusters (sizes {sizes})")
+    text = f"cut {prof.n_profiled} profiles into k={args.k} clusters (sizes {sizes})\n"
+    return files, config, {"profiles": args.profiles}, text
 
 
-def _cmd_render(args) -> None:
+def _cmd_render(args):
     if args.k is not None and not args.dendrogram:
         raise ValueError("--k needs --dendrogram: it sets the dendrogram's cut")
     prof = read_profile_csv(args.profiles)
     inputs = {"profiles": args.profiles}
-    svgs = {}
+    files = {}
     if args.dendrogram:
         dendro, names = parse_dendrogram(
             Path(args.dendrogram).read_text(encoding="utf-8")
@@ -162,12 +157,12 @@ def _cmd_render(args) -> None:
         if names != prof.node_names:
             raise ValueError("dendrogram and profile files cover different nodes")
         k = args.k if args.k is not None else 1
-        svgs["dendrogram.svg"] = dendrogram_svg(dendro, names, k_highlight=k)
+        files["dendrogram.svg"] = _text(dendrogram_svg(dendro, names, k_highlight=k))
         means = centroids(prof, cut(dendro, k))
         for c in range(k):
-            svgs[f"centroid_{c}.svg"] = heatmap_svg(
+            files[f"centroid_{c}.svg"] = _text(heatmap_svg(
                 means[c], prof.kind, f"cluster {c} centroid ({prof.kind})"
-            )
+            ))
         inputs["dendrogram"] = args.dendrogram
     for name in args.node or []:
         if name not in prof.node_names:
@@ -179,22 +174,18 @@ def _cmd_render(args) -> None:
                 f"node {name!r} needs a {len(fname)}-byte file name; "
                 "the limit is 255 bytes"
             )
-        svgs[fname] = heatmap_svg(
+        files[fname] = _text(heatmap_svg(
             prof.vectors[row], prof.kind, f"node {name} ({prof.kind})"
-        )
-    if not svgs:
+        ))
+    if not files:
         raise ValueError("nothing to render: pass --dendrogram and/or --node")
-    out = _prepare_out(args.out)
-    for fname, svg in svgs.items():
-        (out / fname).write_text(svg, encoding="utf-8")
     config = {
         "profiles": args.profiles,
         "dendrogram": args.dendrogram,
         "k": args.k,
         "nodes": list(args.node or []),
     }
-    _write_manifest(out, "render", config, inputs)
-    print(f"wrote {len(svgs)} SVG file(s) to {out}")
+    return files, config, inputs, f"wrote {len(files)} SVG file(s) to {Path(args.out)}\n"
 
 
 def _load_scenario(args):
@@ -205,14 +196,16 @@ def _load_scenario(args):
     return read_params(args.params), args.params
 
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args):
     params, source = _load_scenario(args)
     net = simulate(params, args.seed)
-    if args.emit_params:
-        write_params(params, args.emit_params)
-    out = _prepare_out(args.out)
-    write_edge_list(net.graph, out / "edges.csv")
-    write_labels_csv(net.graph.node_names, net.labels, out / "labels.csv", "block")
+    files = {
+        "edges.csv": lambda path: write_edge_list(net.graph, path),
+        "labels.csv": lambda path: write_labels_csv(
+            net.graph.node_names, net.labels, path, "block"
+        ),
+        "params.json": lambda path: write_params(params, path),
+    }
     config = {
         "source": source,
         "seed": args.seed,
@@ -223,14 +216,14 @@ def _cmd_simulate(args) -> None:
         "stability_margin": params.stability_margin(),
     }
     inputs = {} if args.params is None else {"params": args.params}
-    _write_manifest(out, "simulate", config, inputs)
-    print(
+    text = (
         f"simulated {net.graph.n_edges} events ({net.candidates} candidates) "
-        f"on {params.n_nodes} nodes (seed {args.seed})"
+        f"on {params.n_nodes} nodes (seed {args.seed})\n"
     )
+    return files, config, inputs, text
 
 
-def _cmd_eval(args) -> None:
+def _cmd_eval(args):
     params, source = _load_scenario(args)
     delta = args.delta
     if delta is None:
@@ -241,9 +234,7 @@ def _cmd_eval(args) -> None:
     summary = evaluate_scenario(
         params, delta, seeds, k=args.k, min_motifs=args.min_motifs
     )
-    out = _prepare_out(args.out)
-    summary.write_runs_csv(out / "runs.csv")
-    (out / "summary.csv").write_text(summary.report(), encoding="utf-8")
+    files = {"runs.csv": summary.write_runs_csv, "summary.csv": _text(summary.report())}
     config = {
         "source": source,
         "delta": summary.delta,
@@ -255,20 +246,15 @@ def _cmd_eval(args) -> None:
         "candidates": sum(r.candidates for r in summary.runs),
     }
     inputs = {} if args.params is None else {"params": args.params}
-    _write_manifest(out, "eval", config, inputs)
-    print(summary.report(), end="")
-    print(summary.gate_diagnostics())
+    return files, config, inputs, summary.report() + summary.gate_diagnostics() + "\n"
 
 
-def _cmd_catalog(args) -> None:
+def _cmd_catalog(args):
     text = catalog.catalog_table_csv()
-    if args.out:
-        out = _prepare_out(args.out)
-        (out / "catalog.csv").write_text(text, encoding="utf-8")
-        _write_manifest(out, "catalog", {}, {})
-        print(f"wrote catalog table to {out / 'catalog.csv'}")
-    else:
-        print(text, end="")
+    if args.out is None:
+        return {}, {}, {}, text
+    return ({"catalog.csv": _text(text)}, {}, {},
+            f"wrote catalog table to {Path(args.out) / 'catalog.csv'}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -319,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", type=int, choices=(1, 2))
     sim.add_argument("--params", help="custom parameter JSON")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--emit-params", help="also write the resolved parameters here")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -343,10 +328,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        files, config, inputs, text = args.func(args)
+        if args.out is not None:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, write in files.items():
+                write(out / name)
+            _write_manifest(out, args.command, config, inputs, files)
+        print(text, end="")
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -54,7 +54,9 @@ class Dendrogram:
             sizes[new_id] = m.size
             if math.isnan(m.height):
                 raise ValueError("merge height must not be NaN")
-            if m.height < prev - _HEIGHT_SLACK * max(1.0, abs(prev)):
+            # no slack after an infinite height: inf - inf would be NaN
+            slack = _HEIGHT_SLACK * max(1.0, abs(prev)) if math.isfinite(prev) else 0.0
+            if m.height < prev - slack:
                 raise ValueError("merge heights must be non-decreasing")
             prev = max(prev, m.height)
 

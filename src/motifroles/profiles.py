@@ -118,10 +118,6 @@ def read_profile_csv(source) -> ProfileMatrix:
         vectors = wide[:, catalog.LIVE_FLAT]
     else:
         vectors = wide
-    if vectors.min(initial=0.0) < 0:
-        raise ValueError("profile CSV: negative value")
-    if np.any(np.abs(vectors.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("profile CSV: row does not sum to one")
     return ProfileMatrix(
         kind=kind,
         node_names=names,

@@ -141,6 +141,84 @@ def test_render_node_only(tmp_path, toy_csv):
     assert "node_B.svg" in names and "node_C.svg" in names
 
 
+def test_render_manifest_lists_only_this_runs_files(tmp_path, toy_csv, capsys):
+    # a second render into the same --out leaves the first run's centroids
+    # on disk; the manifest names only the files the second run wrote
+    _, pdir, kdir = run_pipeline(tmp_path, toy_csv, k=3)
+    rdir = tmp_path / "r"
+    for k in ("3", "1"):
+        assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                     "--dendrogram", str(kdir / "dendrogram.txt"),
+                     "--k", k, "--out", str(rdir)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote 2 SVG file(s) to {rdir}"
+    assert (rdir / "centroid_2.svg").exists()
+    manifest = json.loads((rdir / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"dendrogram.svg", "centroid_0.svg"}
+
+
+def test_profile_manifest_in_the_count_directory_omits_the_counts(tmp_path, toy_csv):
+    cdir = tmp_path / "c"
+    assert main(["count", "--input", str(toy_csv), "--delta", "10",
+                 "--out", str(cdir)]) == 0
+    assert main(["profile", "--counts", str(cdir / "counts.csv"),
+                 "--out", str(cdir)]) == 0
+    manifest = json.loads((cdir / "manifest.json").read_text())
+    assert manifest["command"] == "profile"
+    assert set(manifest["outputs"]) == {"profiles.csv", "dropped.csv"}
+    assert set(manifest["inputs"]) == {"counts"}
+
+
+RUN_OUTPUTS = {
+    "count": {"counts.csv", "motif_totals.csv"},
+    "profile": {"profiles.csv", "dropped.csv"},
+    "cluster": {"dendrogram.txt", "clusters.csv"},
+    "render": {"dendrogram.svg", "centroid_0.svg", "centroid_1.svg", "node_A.svg"},
+    "simulate": {"edges.csv", "labels.csv", "params.json"},
+    "eval": {"runs.csv", "summary.csv"},
+    "catalog": {"catalog.csv"},
+}
+
+
+@pytest.mark.parametrize("command", [*RUN_OUTPUTS, "catalog-stdout"])
+def test_a_run_writes_exactly_its_manifest_files(tmp_path, toy_csv, monkeypatch,
+                                                 capsys, command):
+    # --out already holds a file from an earlier run; the run adds its
+    # outputs and manifest there and nothing anywhere else
+    cdir, pdir, kdir = run_pipeline(tmp_path / "in", toy_csv, k=2)
+    argv = {
+        "count": ["count", "--input", str(toy_csv), "--delta", "10"],
+        "profile": ["profile", "--counts", str(cdir / "counts.csv")],
+        "cluster": ["cluster", "--profiles", str(pdir / "profiles.csv"), "--k", "2"],
+        "render": ["render", "--profiles", str(pdir / "profiles.csv"),
+                   "--dendrogram", str(kdir / "dendrogram.txt"), "--k", "2",
+                   "--node", "A"],
+        "simulate": ["simulate", "--scenario", "1"],
+        "eval": ["eval", "--scenario", "2", "--runs", "1", "--min-motifs", "10"],
+        "catalog": ["catalog"],
+    }[command.removesuffix("-stdout")]
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "stale.txt").write_text("left by an earlier run\n")
+    if command != "catalog-stdout":
+        argv += ["--out", str(out)]
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 0
+    new = set(tmp_path.rglob("*")) - before
+    if command == "catalog-stdout":
+        assert new == set()
+        assert capsys.readouterr().out == catalog.catalog_table_csv()
+        return
+    assert new == {out / name for name in RUN_OUTPUTS[command] | {"manifest.json"}}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in RUN_OUTPUTS[command]
+    }
+
+
 def test_render_with_nothing_to_do(tmp_path, toy_csv, capsys):
     _, pdir, _ = run_pipeline(tmp_path, toy_csv)
     rc = main(["render", "--profiles", str(pdir / "profiles.csv"),
@@ -423,10 +501,8 @@ def test_simulate_writes_edges_and_labels(tmp_path, capsys):
 
 def test_simulate_emit_params_round_trips(tmp_path):
     out = tmp_path / "sim"
-    pfile = tmp_path / "params.json"
-    assert main(["simulate", "--scenario", "1", "--emit-params", str(pfile),
-                 "--out", str(out)]) == 0
-    assert read_params(pfile) == scenario_params(1)
+    assert main(["simulate", "--scenario", "1", "--out", str(out)]) == 0
+    assert read_params(out / "params.json") == scenario_params(1)
 
 
 def test_simulate_needs_exactly_one_source(tmp_path, capsys):
@@ -472,8 +548,8 @@ def test_eval_with_params_file_requires_delta(tmp_path, capsys):
 
 @pytest.mark.parametrize("which", [1, 2])
 def test_eval_of_emitted_params_matches_the_scenario(tmp_path, which):
-    pfile = tmp_path / "params.json"
-    assert main(["simulate", "--scenario", str(which), "--emit-params", str(pfile),
+    pfile = tmp_path / "sim" / "params.json"
+    assert main(["simulate", "--scenario", str(which),
                  "--out", str(tmp_path / "sim")]) == 0
     flags = ["--runs", "2", "--min-motifs", "10", "--k", "2"]
     by_file, by_name = tmp_path / "file", tmp_path / "name"
@@ -562,9 +638,8 @@ def test_cluster_dendrograms_are_pinned(tmp_path, toy_csv):
 
 
 def test_emitted_scenario_2_params_are_pinned(tmp_path):
-    pfile = tmp_path / "params.json"
-    assert main(["simulate", "--scenario", "2", "--emit-params", str(pfile),
-                 "--out", str(tmp_path / "sim")]) == 0
+    pfile = tmp_path / "sim" / "params.json"
+    assert main(["simulate", "--scenario", "2", "--out", str(tmp_path / "sim")]) == 0
     assert hashlib.sha256(pfile.read_bytes()).hexdigest() == (
         "5f4fd03d482e1ea9dec9590f852f86e7db3c31ba67588b7a8ed8799266b8201b"
     )
@@ -585,11 +660,10 @@ def test_simulate_rejects_nan_params(tmp_path, capsys, field, value, message):
         payload["block_probs"] = value
     pfile = tmp_path / "nan.json"
     pfile.write_text(json.dumps(payload))
-    emitted, out = tmp_path / "emitted.json", tmp_path / "sim"
-    assert main(["simulate", "--params", str(pfile), "--emit-params", str(emitted),
-                 "--out", str(out)]) == 1
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
-    assert not out.exists() and not emitted.exists()
+    assert not out.exists()
 
 
 def test_params_file_may_start_with_a_byte_order_mark(tmp_path):

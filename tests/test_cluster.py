@@ -434,6 +434,10 @@ def test_parse_dendrogram_rejects_garbage():
         parse_dendrogram("n_leaves 2\nleaf 0 A\nleaf 1 B\nmerge 0\n")
     with pytest.raises(ValueError):
         parse_dendrogram("n_leaves 2\nleaf 0 A\nmerge 0 1 1.0 2\n")
+    # a finite height after an infinite one
+    with pytest.raises(ValueError, match="non-decreasing"):
+        parse_dendrogram("n_leaves 3\nleaf 0 A\nleaf 1 B\nleaf 2 C\n"
+                         "merge 0 1 inf 2\nmerge 2 3 1.0 3\n")
 
 
 def test_parse_dendrogram_rejects_a_nan_height():

@@ -184,6 +184,11 @@ def test_read_profile_csv_rejects_bad_input(tmp_path, toy_counts):
     row[live] = "0.9"
     with pytest.raises(ValueError, match="sum"):
         read_profile_csv(io.StringIO(lines[0] + "\n" + ",".join(row) + "\n"))
+    # a NaN cell, which only the ProfileMatrix constructor catches
+    row = lines[1].split(",")
+    row[live] = "nan"
+    with pytest.raises(ValueError, match="sum"):
+        read_profile_csv(io.StringIO(lines[0] + "\n" + ",".join(row) + "\n"))
     with pytest.raises(ValueError):
         read_profile_csv(io.StringIO("node,bogus\nA,1.0\n"))
 
