@@ -91,8 +91,8 @@ def _cmd_count(args):
              "motif_totals.csv": counts.write_motif_totals_csv}
     config = {
         "input": args.input,
-        "delta": counts.delta,
-        "ties": counts.tie_policy,
+        "delta": args.delta,
+        "ties": _TIE_FLAG[args.ties],
         "scc": bool(args.scc),
         "scc_nodes": scc_kept,
         "candidate_triples": counts.candidates,
@@ -101,10 +101,10 @@ def _cmd_count(args):
     }
     grid = counts.motif_totals.reshape(6, 6)
     lines = [
-        f"counted {counts.total_instances()} motif instances "
+        f"counted {config['instances']} motif instances "
         f"({counts.candidates} candidate triples of at most "
         f"{counts.candidate_bound}) over "
-        f"{graph.n_edges} edges, {graph.n_nodes} nodes (delta={counts.delta:g})",
+        f"{graph.n_edges} edges, {graph.n_nodes} nodes (delta={args.delta:g})",
         "instances by motif cell (rows 1-6, columns 1-6):",
         "      " + "".join(f"c{c + 1:<9}" for c in range(6)),
         *(f"  r{r + 1}  " + "".join(f"{int(v):<10}" for v in grid[r]) for r in range(6)),
@@ -152,7 +152,7 @@ def _cmd_render(args):
     files = {}
     if args.dendrogram:
         dendro, names = parse_dendrogram(
-            Path(args.dendrogram).read_text(encoding="utf-8")
+            Path(args.dendrogram).read_text(encoding="utf-8-sig")
         )
         if names != prof.node_names:
             raise ValueError("dendrogram and profile files cover different nodes")

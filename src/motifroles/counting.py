@@ -23,6 +23,9 @@ only reads both members' codes and third nodes, tests that the third
 nodes agree and looks its key up in catalog.KEY_TO_MOTIF_INDEX. First
 edges and member pairs go through numpy in blocks of at most _CHUNK
 triples, sized so that a block's arrays stay in the CPU cache.
+
+Motif totals are not counted separately: every instance puts exactly one
+node in position 1, so a motif's total is its position-1 column sum.
 """
 
 from __future__ import annotations
@@ -59,36 +62,34 @@ def _check_tie_policy(tie_policy: str) -> str:
 
 @dataclass(frozen=True)
 class PositionCountMatrix:
-    """Per-node motif-position counts plus per-motif instance totals.
+    """Per-node motif-position counts.
 
     counts has shape (n_nodes, 36, 3); position 3 of the four two-node
-    motifs is structurally zero. delta and tie_policy are None when the
-    matrix was loaded from a counts CSV (they travel in the manifest).
-    candidates is the number of edge triples count_motifs classified and
-    candidate_bound the upper bound on it that count_motifs checked before
-    classifying; both are None for a matrix loaded from CSV or built any
-    other way.
+    motifs is structurally zero. candidates is the number of edge triples
+    count_motifs classified and candidate_bound the upper bound on it that
+    count_motifs checked before classifying; both are None for a matrix
+    loaded from CSV or built any other way. The window and tie policy the
+    counts were taken with are not stored: the count manifest records them.
     """
 
     node_names: tuple[str, ...]
     counts: np.ndarray
-    motif_totals: np.ndarray
-    delta: float | None
-    tie_policy: str | None
     candidates: int | None = None
     candidate_bound: int | None = None
 
     def __post_init__(self):
         if self.counts.shape != (len(self.node_names), catalog.N_MOTIFS, 3):
             raise ValueError(f"bad counts shape {self.counts.shape}")
-        if self.motif_totals.shape != (catalog.N_MOTIFS,):
-            raise ValueError(f"bad motif_totals shape {self.motif_totals.shape}")
         self.counts.setflags(write=False)
-        self.motif_totals.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_names)
+
+    @property
+    def motif_totals(self) -> np.ndarray:
+        """Instances per motif: each instance has one node in position 1."""
+        return self.counts[:, :, 0].sum(axis=0)
 
     def node_totals(self) -> np.ndarray:
         """Total motif participation per node (sum over all cells)."""
@@ -109,30 +110,32 @@ class PositionCountMatrix:
         write_table(path, ("node",) + catalog.CSV_COLUMNS, rows)
 
     def write_motif_totals_csv(self, path) -> None:
-        rows = ((m.short, int(self.motif_totals[m.index])) for m in catalog.MOTIFS)
+        rows = zip((m.short for m in catalog.MOTIFS), self.motif_totals.tolist())
         write_table(path, ("motif", "instances"), rows)
 
 
+def _count_cell(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**63:
+        raise ValueError(f"count {text!r} is negative or too large for 64 bits")
+    return value
+
+
 def read_count_csv(source) -> PositionCountMatrix:
-    """Load a counts CSV produced by PositionCountMatrix.write_csv."""
-    _, names, rows = read_table(source, "counts CSV", [("node",) + catalog.CSV_COLUMNS], int)
+    """Load a counts CSV produced by PositionCountMatrix.write_csv. Each
+    instance fills each position of its motif once, so all live positions
+    of a motif must sum to the same total."""
+    _, names, rows = read_table(
+        source, "counts CSV", [("node",) + catalog.CSV_COLUMNS], _count_cell
+    )
     counts = np.array(rows, dtype=np.int64).reshape(len(names), catalog.N_MOTIFS, 3)
-    if counts.min(initial=0) < 0:
-        raise ValueError("counts CSV: negative cell")
     dead = counts[:, :, 2][:, ~catalog.LIVE_MASK[:, 2]]
     if dead.any():
         raise ValueError("counts CSV: nonzero cell in a two-node position-3 column")
-    cell_sums = counts.sum(axis=0).sum(axis=1)
-    totals, rem = np.divmod(cell_sums, catalog.POSITIONS_PER_MOTIF)
-    if rem.any():
-        raise ValueError("counts CSV: cell sums inconsistent with motif arities")
-    return PositionCountMatrix(
-        node_names=names,
-        counts=counts,
-        motif_totals=totals.astype(np.int64),
-        delta=None,
-        tie_policy=None,
-    )
+    sums = counts.sum(axis=0)
+    if (catalog.LIVE_MASK & (sums != sums[:, :1])).any():
+        raise ValueError("counts CSV: a motif's positions have unequal sums")
+    return PositionCountMatrix(node_names=names, counts=counts)
 
 
 def classify_triple(
@@ -175,7 +178,6 @@ def brute_force_count(
     tie_policy = _check_tie_policy(tie_policy)
     exclude_ties = tie_policy == "exclude-ties"
     counts = np.zeros((g.n_nodes, catalog.N_MOTIFS, 3), dtype=np.int64)
-    totals = np.zeros(catalog.N_MOTIFS, dtype=np.int64)
     edges = list(g.edges())
     for e1, e2, e3 in combinations(edges, 3):
         if e3.time - e1.time > delta:
@@ -186,16 +188,9 @@ def brute_force_count(
         if result is None:
             continue
         motif, positions = result
-        totals[motif.index] += 1
         for pos, node in positions.items():
             counts[node, motif.index, pos - 1] += 1
-    return PositionCountMatrix(
-        node_names=g.node_names,
-        counts=counts,
-        motif_totals=totals,
-        delta=delta,
-        tie_policy=tie_policy,
-    )
+    return PositionCountMatrix(node_names=g.node_names, counts=counts)
 
 
 def _window_ends(time: np.ndarray, delta: float) -> np.ndarray:
@@ -336,12 +331,7 @@ def count_motifs(
         )
     exclude_ties = tie_policy == "exclude-ties"
     n = g.n_nodes
-    n_cells = n * catalog.N_CSV_CELLS
-    counts_flat = np.zeros(n_cells, dtype=np.int64)
-    totals = np.zeros(catalog.N_MOTIFS, dtype=np.int64)
-    # cell indices wait until they about outnumber the cells, so that many
-    # small blocks do not each pay a pass over the whole count array
-    pending, n_pending = [], 0
+    counts_flat = np.zeros(n * catalog.N_CSV_CELLS, dtype=np.int64)
     candidates = 0
     for first, edge, code, third, size in _groups(g, index):
         code9 = code * 9
@@ -361,25 +351,15 @@ def count_motifs(
             if not sel.size:
                 continue
             mot = motif[sel].astype(np.int64)
-            totals += np.bincount(mot, minlength=catalog.N_MOTIFS)
             f = first[x[sel]]
-            pending.append((g.src[f] * catalog.N_MOTIFS + mot) * 3)
-            pending.append((g.tgt[f] * catalog.N_MOTIFS + mot) * 3 + 1)
             w = np.maximum(tx[sel], ty[sel])
             has3 = w >= 0
-            pending.append((w[has3] * catalog.N_MOTIFS + mot[has3]) * 3 + 2)
-            n_pending += 3 * sel.size
-            if n_pending >= n_cells:
-                counts_flat += np.bincount(np.concatenate(pending), minlength=n_cells)
-                pending, n_pending = [], 0
-    if pending:
-        counts_flat += np.bincount(np.concatenate(pending), minlength=n_cells)
+            np.add.at(counts_flat, (g.src[f] * catalog.N_MOTIFS + mot) * 3, 1)
+            np.add.at(counts_flat, (g.tgt[f] * catalog.N_MOTIFS + mot) * 3 + 1, 1)
+            np.add.at(counts_flat, (w[has3] * catalog.N_MOTIFS + mot[has3]) * 3 + 2, 1)
     return PositionCountMatrix(
         node_names=g.node_names,
         counts=counts_flat.reshape(n, catalog.N_MOTIFS, 3),
-        motif_totals=totals,
-        delta=delta,
-        tie_policy=tie_policy,
         candidates=candidates,
         candidate_bound=bound,
     )

@@ -50,6 +50,14 @@ EXCITATION_KINDS = ("self", "reciprocal", "shared-receiver", "broadcast")
 _FOLD = 1e-150  # smallest decay scale kept before folding it into its base
 
 
+def _whole(value, what: str) -> int:
+    """value as an int, refusing the fraction that int() would drop."""
+    number = int(value)
+    if number != value and not isinstance(value, str):
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Excitation:
     kind: str
@@ -61,7 +69,7 @@ class Excitation:
         if self.kind not in EXCITATION_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
         # a tuple, so that received_mass and intensity match it by ==
-        pair = tuple(int(b) for b in self.block_pair)
+        pair = tuple(_whole(b, "block_pair") for b in self.block_pair)
         if len(pair) != 2:
             raise ValueError(f"block_pair must hold two blocks, got {self.block_pair!r}")
         object.__setattr__(self, "block_pair", pair)
@@ -155,7 +163,7 @@ class BlockHawkesParams:
             raise ValueError(f"params file is not valid JSON: {exc}") from None
         try:
             params = cls(
-                n_nodes=int(payload["n_nodes"]),
+                n_nodes=_whole(payload["n_nodes"], "n_nodes"),
                 block_probs=tuple(float(p) for p in payload["block_probs"]),
                 horizon=float(payload["horizon"]),
                 baseline=tuple(
@@ -171,13 +179,13 @@ class BlockHawkesParams:
                     for e in payload.get("excitations", ())
                 ),
                 block_assignment=(
-                    tuple(int(b) for b in payload["block_assignment"])
+                    tuple(_whole(b, "block_assignment") for b in payload["block_assignment"])
                     if payload.get("block_assignment")
                     else None
                 ),
-                max_events=int(payload.get("max_events", 500_000)),
+                max_events=_whole(payload.get("max_events", 500_000), "max_events"),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"params file is missing or malforms a field: {exc}") from None
         params.validate()
         return params

@@ -2,6 +2,7 @@
 
 A table is UTF-8 text with a header row, "\\n" line ends and minimal
 quoting, so a cell holding a comma, a quote or a line break round-trips.
+A reader skips a leading UTF-8 byte-order mark.
 A node-keyed table holds a node name in column 0 and one value in each
 other column.
 """
@@ -41,7 +42,7 @@ def read_table(source, what: str, headers, cell):
     ValueError reading "{what}: row N: ...".
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return read_table(fh, what, headers, cell)
     reader = csv.reader(source)
     names: dict[str, None] = {}  # insertion-ordered set

@@ -836,6 +836,32 @@ def test_edge_list_may_start_with_a_byte_order_mark(tmp_path, toy_csv):
                 == (tmp_path / "bom" / name).read_bytes())
 
 
+def test_every_input_file_may_start_with_a_byte_order_mark(tmp_path, toy_csv):
+    cdir, pdir, kdir = run_pipeline(tmp_path, toy_csv)
+    plain = {p.name: p for p in (cdir / "counts.csv", pdir / "profiles.csv",
+                                 kdir / "dendrogram.txt")}
+    (tmp_path / "bom").mkdir()
+    bom = {name: tmp_path / "bom" / name for name in plain}
+    for name, path in plain.items():
+        bom[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for src, out in ((plain, tmp_path / "plain"), (bom, tmp_path / "bom_out")):
+        profiles = str(src["profiles.csv"])
+        assert main(["profile", "--counts", str(src["counts.csv"]),
+                     "--out", str(out / "p")]) == 0
+        assert main(["cluster", "--profiles", profiles, "--k", "3",
+                     "--out", str(out / "k")]) == 0
+        assert main(["render", "--profiles", profiles, "--k", "3",
+                     "--dendrogram", str(src["dendrogram.txt"]),
+                     "--out", str(out / "r")]) == 0
+    written = sorted(p.relative_to(tmp_path / "plain")
+                     for p in (tmp_path / "plain").rglob("*")
+                     if p.is_file() and p.name != "manifest.json")
+    assert len(written) == 8
+    for rel in written:
+        assert ((tmp_path / "plain" / rel).read_bytes()
+                == (tmp_path / "bom_out" / rel).read_bytes())
+
+
 def test_render_rejects_a_node_file_name_over_255_bytes(tmp_path, capsys):
     # "Ä" quotes to the six bytes %C3%84, so node_<name>.svg is 369 bytes
     name = "\u00c4" * 60

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifroles import counting
+from motifroles import catalog, counting
 from motifroles.catalog import MotifId
 from motifroles.counting import (
     PositionCountMatrix,
@@ -238,14 +238,15 @@ def test_node_relabel_equivariance(seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_per_motif_accounting(seed):
-    # every instance contributes exactly n_positions increments to its motif
+    # every instance fills each of its motif's positions exactly once
     rng = np.random.default_rng(seed)
     g = random_temporal_graph(rng, max_nodes=8, max_edges=30)
     c = count_motifs(g, 25.0)
     from motifroles.catalog import MOTIFS
-    cell_sums = c.counts.sum(axis=(0, 2))
+    position_sums = c.counts.sum(axis=0)
     for m in MOTIFS:
-        assert cell_sums[m.index] == m.n_positions * c.motif_totals[m.index]
+        for p in range(m.n_positions):
+            assert position_sums[m.index, p] == c.motif_totals[m.index]
         # dead position stays zero
         if m.n_nodes == 2:
             assert c.counts[:, m.index, 2].sum() == 0
@@ -296,6 +297,28 @@ def test_read_count_csv_rejects_bad_input(tmp_path, toy_counts):
     row[1] = "0.5"
     with pytest.raises(ValueError):
         read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
+    row = good[1].split(",")
+    row[1] = str(2**64)  # beyond int64
+    with pytest.raises(ValueError, match="counts CSV: row 2: .*too large"):
+        read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
+
+
+@pytest.mark.parametrize("cells, instances", [
+    ({"M33_p1": 1, "M33_p2": 2, "M33_p3": 3}, None),
+    ({"M51_p1": 1, "M51_p2": 3}, None),
+    ({"M33_p1": 2, "M33_p2": 2, "M33_p3": 2, "M51_p1": 1, "M51_p2": 1}, 3),
+], ids=["three-node-1-2-3", "two-node-1-3", "equal"])
+def test_read_count_csv_checks_that_a_motifs_positions_agree(cells, instances):
+    # every instance fills each position of its motif once; a divisibility
+    # test on the cell sums alone would pass 1 + 2 + 3 = 6 as two instances
+    header = ("node",) + catalog.CSV_COLUMNS
+    row = [str(cells.get(column, 0)) for column in header[1:]]
+    text = ",".join(header) + "\nA," + ",".join(row) + "\n"
+    if instances is None:
+        with pytest.raises(ValueError, match="unequal sums"):
+            read_count_csv(io.StringIO(text))
+    else:
+        assert read_count_csv(io.StringIO(text)).total_instances() == instances
 
 
 def test_motif_totals_csv(tmp_path, toy_counts):
@@ -311,8 +334,7 @@ def test_motif_totals_csv(tmp_path, toy_counts):
 
 def test_count_matrix_validation():
     with pytest.raises(ValueError):
-        PositionCountMatrix(("A",), np.zeros((2, 36, 3), dtype=np.int64),
-                            np.zeros(36, dtype=np.int64), 1.0, "seq-order")
+        PositionCountMatrix(("A",), np.zeros((2, 36, 3), dtype=np.int64))
 
 
 def _assert_matches_oracle(g, delta):

@@ -167,6 +167,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="two blocks"):
             BlockHawkesParams.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_nodes", 20.9, "n_nodes must be a whole number"),
+        ("max_events", 1000.5, "max_events must be a whole number"),
+        ("block_pair", [0.7, 1.2], "block_pair must be a whole number"),
+        ("block_assignment", [0.5] * 20, "block_assignment must be a whole number"),
+        ("n_nodes", float("inf"), "malforms a field"),
+    ])
+    def test_from_json_rejects_a_fractional_count_or_label(self, field, value, message):
+        # int() alone would truncate these: 20.9 nodes would load as 20
+        payload = json.loads(scenario_params(1).to_json())
+        if field == "block_pair":
+            payload["excitations"][0][field] = value
+        else:
+            payload[field] = value
+        with pytest.raises(ValueError, match=message):
+            BlockHawkesParams.from_json(json.dumps(payload))
+
+    def test_from_json_accepts_whole_floats(self):
+        payload = json.loads(scenario_params(1).to_json())
+        payload["n_nodes"] = float(payload["n_nodes"])
+        payload["excitations"][0]["block_pair"] = [
+            float(b) for b in payload["excitations"][0]["block_pair"]
+        ]
+        assert BlockHawkesParams.from_json(json.dumps(payload)) == scenario_params(1)
+
     def test_fan_out_counts_toward_stability(self):
         # alpha=0.3 is stable for a lone pair but not once 4 third parties
         # receive it through the shared-receiver channel

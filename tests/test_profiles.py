@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motifroles.catalog import MOTIFS, MotifId
+from motifroles.catalog import MotifId
 from motifroles.counting import PositionCountMatrix, count_motifs
 from motifroles.graph import TemporalGraph
 from motifroles.profiles import (
@@ -18,12 +18,7 @@ from synthdata import random_temporal_graph
 
 
 def matrix_from_counts(names, counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    cell_sums = counts.sum(axis=(0, 2))
-    totals = np.array(
-        [cell_sums[m.index] // m.n_positions for m in MOTIFS], dtype=np.int64
-    )
-    return PositionCountMatrix(tuple(names), counts, totals, 1.0, "seq-order")
+    return PositionCountMatrix(tuple(names), np.asarray(counts, dtype=np.int64))
 
 
 class TestToyProfiles:
