@@ -15,9 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .table import write_table
+from .table import write_node_table
 
 _HEIGHT_SLACK = 1e-9  # relative tolerance for the monotonicity check
+# Ward's distance matrix takes 8 n^2 bytes: 3.2 GB at this many leaves.
+MAX_WARD_LEAVES = 20_000
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,11 @@ def ward_linkage(profiles) -> Dendrogram:
     n = x.shape[0]
     if n < 2:
         raise ValueError("clustering needs at least two observations")
+    if n > MAX_WARD_LEAVES:
+        raise ValueError(
+            f"Ward linkage over {n} profiles needs a distance matrix of "
+            f"{8 * n * n} bytes, above the limit of {MAX_WARD_LEAVES} profiles"
+        )
     dist = np.zeros((n, n))
     nn = np.full(n, -1)  # slot of the cached nearest neighbour
     nn_dist = np.full(n, np.inf)
@@ -342,4 +349,4 @@ def write_labels_csv(node_names: Sequence[str], labels, path, column: str) -> No
     arr = _as_labels(labels)
     if len(node_names) != arr.shape[0]:
         raise ValueError("name count does not match label count")
-    write_table(path, ("node", column), zip(node_names, arr.tolist()))
+    write_node_table(path, ("node", column), node_names, arr[:, None])

@@ -38,7 +38,7 @@ import numpy as np
 from . import catalog
 from .catalog import MotifId
 from .graph import TemporalEdge, TemporalGraph
-from .table import read_table, write_table
+from .table import read_table, write_node_table, write_table
 
 TIE_POLICIES = ("seq-order", "exclude-ties")
 
@@ -105,9 +105,8 @@ class PositionCountMatrix:
         return int(self.motif_totals.sum())
 
     def write_csv(self, path) -> None:
-        flat = self.counts.reshape(self.n_nodes, catalog.N_CSV_CELLS).tolist()
-        rows = ([name] + row for name, row in zip(self.node_names, flat))
-        write_table(path, ("node",) + catalog.CSV_COLUMNS, rows)
+        flat = self.counts.reshape(self.n_nodes, catalog.N_CSV_CELLS)
+        write_node_table(path, ("node",) + catalog.CSV_COLUMNS, self.node_names, flat)
 
     def write_motif_totals_csv(self, path) -> None:
         rows = zip((m.short for m in catalog.MOTIFS), self.motif_totals.tolist())
@@ -132,6 +131,15 @@ def read_count_csv(source) -> PositionCountMatrix:
     dead = counts[:, :, 2][:, ~catalog.LIVE_MASK[:, 2]]
     if dead.any():
         raise ValueError("counts CSV: nonzero cell in a two-node position-3 column")
+    # A node's sum adds N_CSV_CELLS cells and a motif position's sum adds n,
+    # so only a file with a huge cell needs its sums checked in Python ints.
+    flat = counts.reshape(len(names), catalog.N_CSV_CELLS)
+    if len(names) and int(flat.max()) * max(flat.shape) >= 2**63:
+        exact = flat.astype(object)
+        if max(exact.sum(axis=1).max(), exact.sum(axis=0).max()) >= 2**63:
+            raise ValueError(
+                "counts CSV: a node's or a motif's sum is too large for 64 bits"
+            )
     sums = counts.sum(axis=0)
     if (catalog.LIVE_MASK & (sums != sums[:, :1])).any():
         raise ValueError("counts CSV: a motif's positions have unequal sums")

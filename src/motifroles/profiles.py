@@ -14,7 +14,7 @@ import numpy as np
 
 from . import catalog
 from .counting import PositionCountMatrix
-from .table import read_table, write_table
+from .table import read_table, write_node_table
 
 PROFILE_KINDS = ("positioned", "positionless")
 
@@ -66,11 +66,12 @@ class ProfileMatrix:
         else:
             header = ("node",) + catalog.MOTIF_COLUMNS
             wide = self.vectors
-        rows = ([name] + row for name, row in zip(self.node_names, wide.tolist()))
-        write_table(path, header, rows)
+        write_node_table(path, header, self.node_names, wide)
 
     def write_dropped_csv(self, path) -> None:
-        write_table(path, ("node", "total_participation"), self.dropped)
+        names = [name for name, _ in self.dropped]
+        totals = np.array([total for _, total in self.dropped], dtype=np.int64)
+        write_node_table(path, ("node", "total_participation"), names, totals[:, None])
 
 
 def _build(counts: PositionCountMatrix, min_motifs: int, kind: str) -> ProfileMatrix:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import motifroles
-from motifroles import catalog, counting
+from motifroles import catalog, cluster, counting
 from motifroles.cli import main
 from motifroles.counting import read_count_csv
 from motifroles.graph import parse_edge_list
@@ -461,6 +461,26 @@ def test_cluster_k_out_of_range(tmp_path, toy_csv, capsys):
                "--k", "7", "--out", str(tmp_path / "k7")])
     assert rc == 1
     assert "--k must be in 1..3" in capsys.readouterr().err
+
+
+def test_cluster_and_eval_refuse_more_profiles_than_the_ward_limit(
+        tmp_path, toy_csv, capsys, monkeypatch):
+    _, pdir, _ = run_pipeline(tmp_path, toy_csv)
+    capsys.readouterr()
+    monkeypatch.setattr(cluster, "MAX_WARD_LEAVES", 2)
+    out = tmp_path / "k2"
+    assert main(["cluster", "--profiles", str(pdir / "profiles.csv"),
+                 "--k", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Ward linkage over 3 profiles needs a distance matrix of 72 "
+        "bytes, above the limit of 2 profiles\n"
+    )
+    assert not out.exists()
+    out = tmp_path / "eval"
+    assert main(["eval", "--scenario", "1", "--runs", "1", "--min-motifs", "10",
+                 "--out", str(out)]) == 1
+    assert "bytes, above the limit of 2 profiles" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_are_byte_reproducible(tmp_path, toy_csv):

@@ -1,5 +1,7 @@
 import io
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 
 from motifroles.cluster import (
+    MAX_WARD_LEAVES,
     Dendrogram,
     FlatClustering,
     Merge,
@@ -221,6 +224,25 @@ def test_ward_rejects_nan_profiles():
 def test_ward_rejects_infinite_profiles():
     with pytest.raises(ValueError, match="finite"):
         ward_linkage(np.array([[0.0], [np.inf], [2.0]]))
+
+
+def test_ward_size_limit_is_checked_before_allocating():
+    # one leaf over the limit would need a 3.2 GB distance matrix; the
+    # refusal costs only the input points
+    n = MAX_WARD_LEAVES + 1
+    points = np.zeros((n, 1))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=f"Ward linkage over {n} profiles needs a "
+                                             f"distance matrix of {8 * n * n} bytes, "
+                                             "above the limit of 20000 profiles"):
+            ward_linkage(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 10**6
 
 
 @settings(max_examples=40, deadline=None)

@@ -301,6 +301,16 @@ def test_read_count_csv_rejects_bad_input(tmp_path, toy_counts):
     row[1] = str(2**64)  # beyond int64
     with pytest.raises(ValueError, match="counts CSV: row 2: .*too large"):
         read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
+    # every cell fits in int64 and the three positions of M33 agree, but
+    # each node's sum, 3 * 2**62, does not
+    cols = good[0].split(",")
+    row = ["0"] * len(cols)
+    for column in ("M33_p1", "M33_p2", "M33_p3"):
+        row[cols.index(column)] = str(2**62)
+    body = "".join(",".join([name] + row[1:]) + "\n" for name in "AB")
+    with pytest.raises(ValueError, match="counts CSV: a node's or a motif's sum is too "
+                                         "large for 64 bits"):
+        read_count_csv(io.StringIO(good[0] + "\n" + body))
 
 
 @pytest.mark.parametrize("cells, instances", [
