@@ -1,12 +1,13 @@
 """Windowed temporal motif counting and per-node position counts.
 
 An instance is any ordered triple of edges (e_i, e_j, e_k), i < j < k in
-(time, seq) order, whose span satisfies time_k - time_i <= delta and whose
-six endpoints touch at most three distinct nodes. Instances are counted
-exhaustively, not maximally or disjointly: an edge may appear in many
-instances. Under the "exclude-ties" policy any triple containing two
-edges with equal timestamps is skipped; the default "seq-order" policy
-keeps them, ordered by input sequence.
+the graph's stored order (time, with equal times in input order), whose
+span satisfies time_k - time_i <= delta and whose six endpoints touch at
+most three distinct nodes. Instances are counted exhaustively, not
+maximally or disjointly: an edge may appear in many instances. Under the
+"exclude-ties" policy any triple containing two edges with equal
+timestamps is skipped; the default "seq-order" policy keeps them, ordered
+by input sequence.
 
 count_motifs enumerates by incidence: for each first edge e_i = (u, v)
 it pairs only the edges in e_i's window that touch u or v, taken from a

@@ -105,37 +105,42 @@ def evaluate_run(
     min_motifs: int = 0,
 ) -> RunResult:
     """Simulate one network, score block recovery for both profile kinds
-    and measure the positioned centroids."""
-    net = simulate(params, seed)
-    counts = count_motifs(net.graph, delta)
-    name_to_index = {name: i for i, name in enumerate(net.graph.node_names)}
-    results = {}
-    # positioned runs last: its profiles and clustering feed the centroids
-    for kind, builder in (
-        ("positionless", build_positionless),
-        ("positioned", build_positioned),
-    ):
-        prof = builder(counts, min_motifs=min_motifs)
-        if prof.n_profiled < 2:
-            raise ValueError(
-                f"seed {seed}: only {prof.n_profiled} nodes participate in motifs; "
-                "cannot cluster"
-            )
-        truth = net.labels[[name_to_index[nm] for nm in prof.node_names]]
-        clustering = cut(ward_linkage(prof), k)
-        results[kind] = permutation_accuracy(clustering, truth)
-    means = centroids(prof, clustering)
-    leans_p1 = {bool(m[REPLY_P1].sum() > m[REPLY_P2].sum()) for m in means}
-    return RunResult(
-        seed=seed,
-        n_events=net.graph.n_edges,
-        candidates=net.candidates,
-        n_profiled=prof.n_profiled,
-        accuracy_positioned=results["positioned"],
-        accuracy_positionless=results["positionless"],
-        two_node_mass=tuple(float(m[TWO_NODE_CELLS].sum()) for m in means),
-        split_ok=len(leans_p1) > 1,
-    )
+    and measure the positioned centroids. A ValueError or RuntimeError of
+    the run carries the prefix "seed N: ", so a failing run can be re-run."""
+    try:
+        net = simulate(params, seed)
+        counts = count_motifs(net.graph, delta)
+        name_to_index = {name: i for i, name in enumerate(net.graph.node_names)}
+        results = {}
+        # positioned runs last: its profiles and clustering feed the centroids
+        for kind, builder in (
+            ("positionless", build_positionless),
+            ("positioned", build_positioned),
+        ):
+            prof = builder(counts, min_motifs=min_motifs)
+            if prof.n_profiled < 2:
+                raise ValueError(
+                    f"only {prof.n_profiled} nodes participate in motifs; "
+                    "cannot cluster"
+                )
+            truth = net.labels[[name_to_index[nm] for nm in prof.node_names]]
+            clustering = cut(ward_linkage(prof), k)
+            results[kind] = permutation_accuracy(clustering, truth)
+        means = centroids(prof, clustering)
+        leans_p1 = {bool(m[REPLY_P1].sum() > m[REPLY_P2].sum()) for m in means}
+        return RunResult(
+            seed=seed,
+            n_events=net.graph.n_edges,
+            candidates=net.candidates,
+            n_profiled=prof.n_profiled,
+            accuracy_positioned=results["positioned"],
+            accuracy_positionless=results["positionless"],
+            two_node_mass=tuple(float(m[TWO_NODE_CELLS].sum()) for m in means),
+            split_ok=len(leans_p1) > 1,
+        )
+    except (ValueError, RuntimeError) as exc:
+        exc.args = (f"seed {seed}: {exc}",)
+        raise
 
 
 def usable_cpus() -> int:

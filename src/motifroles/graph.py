@@ -24,25 +24,26 @@ class TemporalEdge:
     source: int
     target: int
     time: float
-    seq: int
+    seq: int  # position in the graph's stored order
 
 
 class TemporalGraph:
     """Immutable directed temporal network.
 
     Nodes are dense integer indices backed by a string name table. Edges
-    are stored sorted by (time, seq); seq is the input-order index, which
-    makes the ordering total even when timestamps tie.
+    are stored in one order: a stable sort by time of the order they were
+    given in, so edges with equal timestamps keep their input order. An
+    edge's position in that order breaks every timestamp tie.
 
     Equality compares the node-name set and the name-level edge sequence
-    in sorted order. Internal indices and seq values are representation
-    details: re-parsing a serialized graph renumbers both without
-    changing the network.
+    in stored order. Internal indices are a representation detail:
+    re-parsing a serialized graph renumbers them without changing the
+    network.
     """
 
-    __slots__ = ("node_names", "src", "tgt", "time", "seq", "_index")
+    __slots__ = ("node_names", "src", "tgt", "time")
 
-    def __init__(self, node_names: Sequence[str], src, tgt, time, seq=None):
+    def __init__(self, node_names: Sequence[str], src, tgt, time):
         names = tuple(str(x) for x in node_names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate node names")
@@ -50,11 +51,7 @@ class TemporalGraph:
         tgt = np.asarray(tgt, dtype=np.int64)
         time = np.asarray(time, dtype=np.float64)
         m = src.shape[0]
-        if seq is None:
-            seq = np.arange(m, dtype=np.int64)
-        else:
-            seq = np.asarray(seq, dtype=np.int64)
-        if not (tgt.shape[0] == time.shape[0] == seq.shape[0] == m):
+        if not (tgt.shape[0] == time.shape[0] == m):
             raise ValueError("edge arrays must have equal length")
         n = len(names)
         if m:
@@ -66,25 +63,14 @@ class TemporalGraph:
                 raise ValueError("self-loops are not allowed")
             if not np.all(np.isfinite(time)):
                 raise ValueError("non-finite timestamp")
-        by_seq = np.sort(seq)
-        if np.any(by_seq[1:] == by_seq[:-1]):
-            raise ValueError("seq indices must be unique")
-        # A stable sort by time is the (time, seq) order when seq already
-        # rises among equal times, as it does for rows in input order and
-        # for a subset of a graph's stored edges; timsort makes one pass
-        # over times already in order.
+        # timsort makes one pass over times already in order
         order = np.argsort(time, kind="stable")
-        t, s = time[order], seq[order]
-        if np.any((t[1:] == t[:-1]) & (s[1:] < s[:-1])):
-            order = np.lexsort((seq, time))
         self.node_names = names
         self.src = src[order]
         self.tgt = tgt[order]
         self.time = time[order]
-        self.seq = seq[order]
-        for arr in (self.src, self.tgt, self.time, self.seq):
+        for arr in (self.src, self.tgt, self.time):
             arr.setflags(write=False)
-        self._index = {name: i for i, name in enumerate(names)}
 
     @classmethod
     def from_named_edges(
@@ -93,7 +79,7 @@ class TemporalGraph:
         extra_nodes: Iterable[str] = (),
     ) -> "TemporalGraph":
         """Build from (source, target, time) triples, interning names in
-        order of first appearance. seq follows the input order."""
+        order of first appearance. Equal times keep the input order."""
         names: dict[str, int] = {}
         src, tgt, time = [], [], []
         for s, t, ts in edges:
@@ -116,25 +102,20 @@ class TemporalGraph:
     def n_edges(self) -> int:
         return int(self.src.shape[0])
 
-    def index_of(self, name: str) -> int:
-        return self._index[name]
-
-    def name_of(self, index: int) -> str:
-        return self.node_names[index]
-
     def edge(self, i: int) -> TemporalEdge:
-        return TemporalEdge(
-            int(self.src[i]), int(self.tgt[i]), float(self.time[i]), int(self.seq[i])
-        )
+        """The i-th edge in stored order; its seq is i."""
+        return TemporalEdge(int(self.src[i]), int(self.tgt[i]), float(self.time[i]), i)
 
     def edges(self) -> Iterator[TemporalEdge]:
         for i in range(self.n_edges):
             yield self.edge(i)
 
     def named_edges(self) -> list[tuple[str, str, float]]:
+        """(source name, target name, time) for each edge in stored order."""
+        names = self.node_names
         return [
-            (self.node_names[int(u)], self.node_names[int(v)], float(t))
-            for u, v, t in zip(self.src, self.tgt, self.time)
+            (names[u], names[v], t)
+            for u, v, t in zip(self.src.tolist(), self.tgt.tolist(), self.time.tolist())
         ]
 
     def time_span(self) -> tuple[float, float]:
@@ -160,7 +141,8 @@ def parse_edge_list(source) -> TemporalGraph:
     """Parse a CSV edge list with header source,target,timestamp.
 
     `source` may be a path or an open text stream. Node names are interned
-    in order of first appearance; edge seq is the data-row order.
+    in order of first appearance; rows with equal timestamps keep their
+    order in the file.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
@@ -207,14 +189,8 @@ def parse_edge_list(source) -> TemporalGraph:
     return TemporalGraph(tuple(names), src, tgt, time)
 
 
-def _edge_rows(g: TemporalGraph):
-    names = g.node_names
-    for u, v, t in zip(g.src.tolist(), g.tgt.tolist(), g.time.tolist()):
-        yield names[u], names[v], t
-
-
 def write_edge_list(g: TemporalGraph, path) -> None:
-    write_table(path, EDGE_LIST_HEADER, _edge_rows(g))
+    write_table(path, EDGE_LIST_HEADER, g.named_edges())
 
 
 def largest_scc(g: TemporalGraph) -> frozenset[int]:
@@ -285,7 +261,8 @@ def filter_nodes(g: TemporalGraph, keep: Iterable[int]) -> TemporalGraph:
 
     The result's node set is exactly the kept nodes that still appear as
     endpoints; names re-intern in order of first appearance in the
-    retained edge sequence. seq values carry over, preserving tie order.
+    retained edge sequence. The kept edges stay in stored order, so edges
+    with equal timestamps keep their relative order.
     """
     keep_idx = np.fromiter((int(k) for k in keep), dtype=np.int64)
     bad = keep_idx[(keep_idx < 0) | (keep_idx >= g.n_nodes)]
@@ -307,5 +284,4 @@ def filter_nodes(g: TemporalGraph, keep: Iterable[int]) -> TemporalGraph:
         renumber[src],
         renumber[tgt],
         g.time[edges],
-        g.seq[edges],
     )

@@ -48,6 +48,8 @@ from .graph import TemporalGraph
 
 EXCITATION_KINDS = ("self", "reciprocal", "shared-receiver", "broadcast")
 _FOLD = 1e-150  # smallest decay scale kept before folding it into its base
+# The excitation map peaks at about 65 bytes per cell: 3.25 GB at this many.
+MAX_EXCITATION_CELLS = 50_000_000
 
 
 def _whole(value, what: str) -> int:
@@ -295,8 +297,11 @@ def excitation_map(params: BlockHawkesParams, labels) -> list[ExcitationGroup]:
     one kind on different block pairs, never hit the same cell, so a row
     lists each cell once, in the order the entries first hit it, and its
     total sums the row's values in that order. A value of 0 is left out,
-    since adding it changes nothing. The map has about n**3 / B**2 cells
-    per fan-kind entry over B equal blocks, and n**2 / B**2 for the others.
+    since adding it changes nothing. A kind on block pair (b1, b2) puts
+    one cell per ordered pair of distinct nodes in b1 x b2 for self and
+    reciprocal, and n - 2 per pair for the fan kinds: about n**3 / B**2
+    cells per fan-kind entry over B equal blocks. Above
+    MAX_EXCITATION_CELLS it raises ValueError before it allocates.
     """
     n = params.n_nodes
     labels = np.asarray(labels, dtype=np.int64)
@@ -306,6 +311,19 @@ def excitation_map(params: BlockHawkesParams, labels) -> list[ExcitationGroup]:
         jumps = by_beta.setdefault(e.beta, {})
         key = (e.kind, e.block_pair)
         jumps[key] = jumps.get(key, 0.0) + e.alpha * e.beta
+    sizes = [block.size for block in members]
+    n_cells = 0
+    for jumps in by_beta.values():
+        for (kind, (b1, b2)), jump in jumps.items():
+            if jump != 0.0:
+                pairs = sizes[b1] * sizes[b2] - (sizes[b1] if b1 == b2 else 0)
+                n_cells += pairs if kind in ("self", "reciprocal") else (n - 2) * pairs
+    if n_cells > MAX_EXCITATION_CELLS:
+        raise ValueError(
+            f"the excitation map over {n} nodes has {n_cells} cells and needs "
+            f"about {65 * n_cells} bytes, above the limit of "
+            f"{MAX_EXCITATION_CELLS} cells"
+        )
     groups = []
     for beta, jumps in by_beta.items():
         src, hit, value = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
@@ -340,13 +358,13 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
     else:
         labels = rng.choice(params.n_blocks, size=n, p=np.asarray(params.block_probs))
         labels = labels.astype(np.int64)
+    groups = excitation_map(params, labels)  # checks its size before any n*n array
     mu = params.baseline_array()[np.ix_(labels, labels)]
     np.fill_diagonal(mu, 0.0)
     mu_sum = float(mu.sum())
 
     nn = n * n
     mu = mu.reshape(-1)
-    groups = excitation_map(params, labels)
     neg_betas = [-group.beta for group in groups]
     jumps = [(g, group.indptr.tolist(), group.cells, group.values, group.totals.tolist())
              for g, group in enumerate(groups)]

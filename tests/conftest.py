@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -44,3 +47,16 @@ def toy_graph() -> TemporalGraph:
 @pytest.fixture(scope="session")
 def toy_counts(toy_graph):
     return count_motifs(toy_graph, TOY_DELTA)
+
+
+def check_manifest(out_dir, command):
+    """Manifest lists every output file with its true digest."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["tool"] == "motifroles"
+    assert manifest["command"] == command
+    on_disk = {p.name for p in out_dir.iterdir() if p.name != "manifest.json"}
+    assert set(manifest["outputs"]) == on_disk
+    for name, digest in manifest["outputs"].items():
+        data = (out_dir / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+    return manifest

@@ -2,8 +2,6 @@
 pass/fail line under `pytest -v`. The heavy fixtures (100-seed studies)
 are shared between the accuracy and centroid-structure checks."""
 
-import hashlib
-import json
 import time
 import xml.etree.ElementTree as ET
 
@@ -23,7 +21,7 @@ from motifroles.hawkes import (
     simulate,
 )
 from motifroles.profiles import build_positioned, build_positionless
-from conftest import TOY_DELTA, toy_expected_counts
+from conftest import TOY_DELTA, check_manifest, toy_expected_counts
 from synthdata import mid_scale_network, random_temporal_graph
 from test_cluster import ward_oracle
 
@@ -136,10 +134,10 @@ def test_criterion_5_invariant_battery():
         g = random_temporal_graph(rng, max_nodes=8, max_edges=30)
         base = count_motifs(g, 20.0)
         shifted = TemporalGraph(list(g.node_names), g.src, g.tgt,
-                                g.time + 37.5, seq=g.seq)
+                                g.time + 37.5)
         assert np.array_equal(count_motifs(shifted, 20.0).counts, base.counts)
         scaled = TemporalGraph(list(g.node_names), g.src, g.tgt,
-                               g.time * 4.0, seq=g.seq)
+                               g.time * 4.0)
         assert np.array_equal(count_motifs(scaled, 80.0).counts, base.counts)
         wider = count_motifs(g, 35.0)
         assert np.all(base.counts <= wider.counts)
@@ -190,7 +188,7 @@ def test_criterion_6_degenerate_hawkes_is_poisson(tmp_path):
     for seed in range(2000):
         net = simulate(params, seed)
         n01 = sum(
-            1 for e in net.graph.edges() if net.graph.name_of(e.source) == "0"
+            1 for e in net.graph.edges() if net.graph.node_names[e.source] == "0"
         )
         counts.append(n01)
     counts = np.array(counts)
@@ -223,16 +221,6 @@ def test_criterion_6_degenerate_hawkes_is_poisson(tmp_path):
           f"GOF p={gof.pvalue:.3f} over 2000 fixed seeds; byte-identical reruns")
 
 
-def _check_manifest(out_dir, command):
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["command"] == command
-    on_disk = {p.name for p in out_dir.iterdir() if p.name != "manifest.json"}
-    assert set(manifest["outputs"]) == on_disk
-    for name, digest in manifest["outputs"].items():
-        data = (out_dir / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
-
-
 def test_criterion_7_mid_scale_pipeline(tmp_path):
     t0 = time.perf_counter()
     g = mid_scale_network(seed=0, n_nodes=156, n_edges=5000)
@@ -253,7 +241,7 @@ def test_criterion_7_mid_scale_pipeline(tmp_path):
 
     for stage, cmd in ((cdir, "count"), (pdir, "profile"),
                        (kdir, "cluster"), (rdir, "render")):
-        _check_manifest(stage, cmd)
+        check_manifest(stage, cmd)
     svgs = sorted(p.name for p in rdir.glob("*.svg"))
     assert "dendrogram.svg" in svgs
     assert sum(1 for s in svgs if s.startswith("centroid_")) == 10

@@ -18,9 +18,16 @@ from motifroles import catalog, cluster, counting
 from motifroles.cli import main
 from motifroles.counting import read_count_csv
 from motifroles.graph import parse_edge_list
-from motifroles.hawkes import SCENARIO_DELTAS, read_params, scenario_params
+from motifroles.hawkes import (
+    SCENARIO_DELTAS,
+    BlockHawkesParams,
+    Excitation,
+    read_params,
+    scenario_params,
+    write_params,
+)
 from motifroles.profiles import ProfileMatrix
-from conftest import TOY_EDGES
+from conftest import TOY_EDGES, check_manifest
 
 TOY_CSV = "source,target,timestamp\n" + "".join(
     f"{s},{t},{x:g}\n" for s, t, x in TOY_EDGES
@@ -32,19 +39,6 @@ def toy_csv(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text(TOY_CSV)
     return path
-
-
-def check_manifest(out_dir, command):
-    """Manifest lists every output file with its true digest."""
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["tool"] == "motifroles"
-    assert manifest["command"] == command
-    on_disk = {p.name for p in out_dir.iterdir() if p.name != "manifest.json"}
-    assert set(manifest["outputs"]) == on_disk
-    for name, digest in manifest["outputs"].items():
-        data = (out_dir / name).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
-    return manifest
 
 
 def run_pipeline(tmp_path, toy_csv, min_motifs=0, positionless=False, k=3):
@@ -479,7 +473,29 @@ def test_cluster_and_eval_refuse_more_profiles_than_the_ward_limit(
     out = tmp_path / "eval"
     assert main(["eval", "--scenario", "1", "--runs", "1", "--min-motifs", "10",
                  "--out", str(out)]) == 1
-    assert "bytes, above the limit of 2 profiles" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 0: Ward linkage over ")
+    assert "bytes, above the limit of 2 profiles" in err
+    assert not out.exists()
+
+
+def test_simulate_and_eval_refuse_an_excitation_map_above_the_limit(tmp_path, capsys):
+    n = 1000
+    params = BlockHawkesParams(
+        n_nodes=n, block_probs=(1.0,), horizon=1.0, baseline=((0.1,),),
+        excitations=(Excitation("shared-receiver", (0, 0), alpha=0.5 / (n - 2), beta=1.0),))
+    pfile = tmp_path / "big.json"
+    write_params(params, pfile)
+    message = (f"the excitation map over 1000 nodes has {998 * 999000} cells and "
+               f"needs about {65 * 998 * 999000} bytes, above the limit of 50000000 cells")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    out = tmp_path / "eval"
+    assert main(["eval", "--params", str(pfile), "--delta", "1", "--runs", "1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed 0: {message}\n"
     assert not out.exists()
 
 

@@ -185,7 +185,7 @@ def test_time_shift_invariance(seed, shift):
     g = random_temporal_graph(rng, max_nodes=8, max_edges=25)
     delta = 30.0
     shifted = TemporalGraph(list(g.node_names), g.src, g.tgt,
-                            g.time + shift, seq=g.seq)
+                            g.time + shift)
     a = count_motifs(g, delta)
     b = count_motifs(shifted, delta)
     assert np.array_equal(a.counts, b.counts)
@@ -200,7 +200,7 @@ def test_time_scale_invariance(seed, factor):
     g = random_temporal_graph(rng, max_nodes=8, max_edges=25)
     delta = 30.0
     scaled = TemporalGraph(list(g.node_names), g.src, g.tgt,
-                           g.time * factor, seq=g.seq)
+                           g.time * factor)
     a = count_motifs(g, delta)
     b = count_motifs(scaled, delta * factor)
     assert np.array_equal(a.counts, b.counts)
@@ -227,12 +227,73 @@ def test_node_relabel_equivariance(seed):
     g = random_temporal_graph(rng, max_nodes=8, max_edges=25)
     perm = rng.permutation(g.n_nodes)
     renamed = [f"m{perm[i]}" for i in range(g.n_nodes)]
-    g2 = TemporalGraph(renamed, g.src, g.tgt, g.time, seq=g.seq)
+    g2 = TemporalGraph(renamed, g.src, g.tgt, g.time)
     a = count_motifs(g, 20.0)
     b = count_motifs(g2, 20.0)
     for i, name in enumerate(g.node_names):
-        j = g2.index_of(f"m{perm[i]}")
+        j = g2.node_names.index(f"m{perm[i]}")
         assert np.array_equal(a.counts[i], b.counts[j])
+
+
+def _cell_permutation(transform):
+    """perm[i] is the positioned cell that cell i of a graph's counts moves
+    to when each instance's edge sequence goes through transform: the
+    transformed signature, relabelled by first appearance, names the new
+    motif, and the relabelling of each node label names its new position."""
+    cells = list(zip(catalog.CELL_MOTIF_INDEX.tolist(), catalog.CELL_POSITION.tolist()))
+    perm = np.empty(len(cells), dtype=np.int64)
+    for i, (motif, position) in enumerate(cells):
+        edges = transform(catalog.SIGNATURE_OF[catalog.MOTIFS[motif]])
+        relabel = {}
+        for node in (x for edge in edges for x in edge):
+            if node not in relabel:
+                relabel[node] = "abc"[len(relabel)]
+        image = catalog.motif_of_signature(tuple((relabel[s], relabel[t]) for s, t in edges))
+        perm[i] = cells.index((image.index, "abc".index(relabel["abc"[position - 1]]) + 1))
+    return perm
+
+
+# time reversal reverses the stored order, equal times included, because
+# the stable sort keeps the reversed input order among ties
+SYMMETRIES = {
+    "time": (lambda g: TemporalGraph(g.node_names, g.src[::-1], g.tgt[::-1], -g.time[::-1]),
+             _cell_permutation(lambda signature: signature[::-1])),
+    "direction": (lambda g: TemporalGraph(g.node_names, g.tgt, g.src, g.time),
+                  _cell_permutation(lambda signature: tuple((t, s) for s, t in signature))),
+}
+
+
+def _assert_equivariant(g, delta, policy):
+    def live(graph):
+        counts = count_motifs(graph, delta, tie_policy=policy).counts
+        return counts.reshape(g.n_nodes, -1)[:, catalog.LIVE_FLAT]
+
+    counts = live(g)
+    for reverse, perm in SYMMETRIES.values():
+        assert np.array_equal(live(reverse(g))[:, perm], counts)
+
+
+@pytest.mark.parametrize("name", SYMMETRIES)
+def test_symmetry_maps_cells_one_to_one_and_back(name):
+    perm = SYMMETRIES[name][1]
+    assert sorted(perm.tolist()) == list(range(catalog.N_POSITIONED_CELLS))
+    assert np.array_equal(perm[perm], np.arange(catalog.N_POSITIONED_CELLS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(counting.TIE_POLICIES))
+def test_counts_are_equivariant_under_time_and_direction_reversal(
+        seed, integer_times, policy):
+    rng = np.random.default_rng(seed)
+    g = random_temporal_graph(rng, max_nodes=8, max_edges=40,
+                              integer_times=integer_times)
+    lo, hi = g.time_span()
+    _assert_equivariant(g, rng.uniform(0.0, (hi - lo) or 1.0) + 1e-9, policy)
+
+
+@pytest.mark.parametrize("policy", counting.TIE_POLICIES)
+def test_mid_scale_counts_are_equivariant(policy):
+    _assert_equivariant(mid_scale_network(seed=4), 7.0, policy)
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,6 +2,7 @@
 the plain in-process loop, with the same results either way."""
 
 import concurrent.futures
+import dataclasses
 
 import pytest
 
@@ -58,6 +59,13 @@ def test_failing_seed_raises_the_same_error_in_both_paths(monkeypatch, pools):
         _evaluate(monkeypatch, 2, seeds, min_motifs=400)
     assert pools == [(2, "fork")]
     assert str(pooled.value) == str(serial.value)
+    assert str(serial.value).count("seed") == 1
+
+
+def test_a_run_error_names_its_seed_once():
+    capped = dataclasses.replace(PARAMS, max_events=1)
+    with pytest.raises(RuntimeError, match=r"^seed 3: simulation exceeded max_events$"):
+        evaluation.evaluate_run(capped, DELTA, 3)
 
 
 def test_no_seeds_is_an_error_before_any_pool(monkeypatch, pools):

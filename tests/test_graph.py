@@ -62,9 +62,8 @@ def test_sort_is_stable_on_equal_timestamps():
     g = TemporalGraph.from_named_edges(
         [("A", "B", 5.0), ("B", "C", 5.0), ("C", "A", 5.0)]
     )
-    # equal times keep input order via seq
+    # equal times keep input order
     assert g.named_edges() == [("A", "B", 5.0), ("B", "C", 5.0), ("C", "A", 5.0)]
-    assert list(g.seq) == [0, 1, 2]
 
 
 def test_edges_sorted_by_time_then_seq():
@@ -73,7 +72,6 @@ def test_edges_sorted_by_time_then_seq():
     )
     assert g.named_edges() == [("B", "C", 1.0), ("A", "C", 4.0),
                                ("A", "B", 9.0), ("C", "A", 9.0)]
-    assert list(g.seq) == [1, 3, 0, 2]
 
 
 def test_graph_validation_errors():
@@ -85,8 +83,6 @@ def test_graph_validation_errors():
         TemporalGraph(["A", "B"], [0], [2], [1.0])
     with pytest.raises(ValueError, match="non-finite"):
         TemporalGraph(["A", "B"], [0], [1], [float("nan")])
-    with pytest.raises(ValueError, match="unique"):
-        TemporalGraph(["A", "B"], [0, 1], [1, 0], [1.0, 2.0], seq=[0, 0])
 
 
 def _round_trip(g, path):
@@ -236,7 +232,7 @@ def test_largest_scc_on_a_long_path_and_cycle(closed):
 
 def test_filter_nodes_toy():
     g = parse_edge_list(io.StringIO(TOY_CSV))
-    kept = filter_nodes(g, {g.index_of("A"), g.index_of("B")})
+    kept = filter_nodes(g, {g.node_names.index("A"), g.node_names.index("B")})
     assert kept.named_edges() == [("A", "B", 1.0), ("B", "A", 3.0), ("A", "B", 4.0)]
     assert set(kept.node_names) == {"A", "B"}
 
@@ -347,7 +343,6 @@ def test_parse_strips_names_and_timestamps():
     g = parse_edge_list(io.StringIO(HEADER + " A , B C ,\t2.5 \nB C,A,\x1c1\x1f\n"))
     assert g.node_names == ("A", "B C")
     assert g.named_edges() == [("B C", "A", 1.0), ("A", "B C", 2.5)]
-    assert list(g.seq) == [1, 0]
 
 
 def test_parse_interns_names_in_order_of_first_appearance():
@@ -356,22 +351,14 @@ def test_parse_interns_names_in_order_of_first_appearance():
     assert g.src.tolist() == [2, 1, 0] and g.tgt.tolist() == [0, 3, 1]
 
 
-@given(st.lists(st.integers(0, 4), min_size=0, max_size=40), st.randoms())
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=40))
 @settings(max_examples=60, deadline=None)
-def test_stored_order_is_time_then_seq(times, rnd):
-    m = len(times)
-    seq = list(range(0, 3 * m, 3))
-    rnd.shuffle(seq)
-    src = [i % 3 for i in range(m)]
-    tgt = [(i + 1) % 3 for i in range(m)]
-    g = TemporalGraph(["a", "b", "c"], src, tgt, [float(t) for t in times], seq)
-    order = np.lexsort((np.array(seq, dtype=np.int64), np.array(times, dtype=float)))
-    assert g.seq.tolist() == np.array(seq, dtype=np.int64)[order].tolist()
-    assert g.time.tolist() == np.array(times, dtype=float)[order].tolist()
-    assert g.src.tolist() == np.array(src, dtype=np.int64)[order].tolist()
-
-
-def test_duplicate_seq_apart_in_input_and_in_time_raises():
-    with pytest.raises(ValueError, match="unique"):
-        TemporalGraph(["A", "B"], [0, 1, 0, 1], [1, 0, 1, 0],
-                      [1.0, 2.0, 3.0, 4.0], seq=[7, 2, 5, 7])
+def test_stored_order_is_stable_time_sort_of_input(rows):
+    # Python's sorted is stable: the stored rows are the input rows sorted
+    # by time alone, equal times in input order
+    arcs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+    g = TemporalGraph(["a", "b", "c"], [arcs[k][0] for _, k in rows],
+                      [arcs[k][1] for _, k in rows], [float(t) for t, _ in rows])
+    expected = sorted(((float(t), arcs[k]) for t, k in rows), key=lambda r: r[0])
+    assert list(zip(g.time.tolist(), zip(g.src.tolist(), g.tgt.tolist()))) == expected
+    assert [e.seq for e in g.edges()] == list(range(len(rows)))

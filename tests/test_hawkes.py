@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import time
+import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -275,7 +278,7 @@ class TestSimulate:
             net = simulate(p, seed=seed)
             counts.append(
                 sum(1 for e in net.graph.edges()
-                    if net.graph.name_of(e.source) == "0")
+                    if net.graph.node_names[e.source] == "0")
             )
         mean = np.mean(counts)
         assert abs(mean - 4.0) < 6 * math.sqrt(4.0 / 300)
@@ -591,6 +594,39 @@ class TestExcitationMap:
                     assert row[u * n + v] == pytest.approx(jump, rel=1e-12)
                 else:
                     assert jump == 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_params(), st.data())
+    def test_limit_counts_the_cells_exactly(self, params, data):
+        n = params.n_nodes
+        labels = params.block_assignment or data.draw(
+            st.lists(st.integers(0, params.n_blocks - 1), min_size=n, max_size=n))
+        size = sum(g.cells.size for g in excitation_map(params, labels))
+        with mock.patch.object(hawkes, "MAX_EXCITATION_CELLS", size):
+            excitation_map(params, labels)
+        with mock.patch.object(hawkes, "MAX_EXCITATION_CELLS", size - 1):
+            with pytest.raises(ValueError, match=f" has {size} cells "):
+                excitation_map(params, labels)
+
+    def test_limit_is_checked_before_allocating(self):
+        # one block of 1,000 nodes under a broadcast entry maps about 10**9
+        # cells, some 65 GB; the refusal costs only the labels
+        n = 1000
+        cells = (n - 2) * n * (n - 1)
+        params = one_block_params(n_nodes=n, excitations=[
+            Excitation("broadcast", (0, 0), alpha=0.5 / (n - 2), beta=1.0)])
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"^the excitation map over 1000 nodes has {cells} cells and needs "
+                    f"about {65 * cells} bytes, above the limit of 50000000 cells$")):
+                simulate(params, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5
+        assert peak < 10**6
 
     def test_rows_list_cells_in_first_hit_order(self):
         # entries of one kind and block pair sum onto the same cells, and a
