@@ -25,13 +25,12 @@ adds alpha * beta / s[g] to each cell the event excites. Before a scale
 falls below _FOLD it is folded into base[g] and reset to 1, which also
 absorbs a gap long enough for the decay to underflow to 0.
 
-Which cells an event excites depends only on the labels, so each run
-builds excitation_map once, before its first candidate: per group, CSR
-rows from each source pair p * n + q to the cells it excites with their
-summed alpha * beta, and each row's total. A fan kind (shared-receiver or
-broadcast) puts about n**3 / B**2 cells in the map over B equal blocks,
-and self or reciprocal about n**2 / B**2: 841,104 cells, about 13 MB, for
-scenario 2's shape at n = 120.
+Which cells an event on (p, q) excites follows from the kinds and the
+node labels: (p, q) for self, (q, p) for reciprocal, column q over the
+sender block's members for shared-receiver and row q over the receiver
+block's members for broadcast, each fan less p and q. So the work and
+memory of an accepted event grow with a block's size, and the state
+with n * n; MAX_SIMULATED_NODES bounds n.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +46,8 @@ from .graph import TemporalGraph
 
 EXCITATION_KINDS = ("self", "reciprocal", "shared-receiver", "broadcast")
 _FOLD = 1e-150  # smallest decay scale kept before folding it into its base
-# The excitation map peaks at about 65 bytes per cell: 3.25 GB at this many.
-MAX_EXCITATION_CELLS = 50_000_000
+# Each n*n array of rates or excitations then takes 200 MB.
+MAX_SIMULATED_NODES = 5_000
 
 
 def _whole(value, what: str) -> int:
@@ -58,6 +56,13 @@ def _whole(value, what: str) -> int:
     if number != value and not isinstance(value, str):
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return number
+
+
+def _array(value, what: str) -> list:
+    """value if it is a JSON array; a string or number is not read as one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -166,24 +171,27 @@ class BlockHawkesParams:
         try:
             params = cls(
                 n_nodes=_whole(payload["n_nodes"], "n_nodes"),
-                block_probs=tuple(float(p) for p in payload["block_probs"]),
+                block_probs=tuple(
+                    float(p) for p in _array(payload["block_probs"], "block_probs")
+                ),
                 horizon=float(payload["horizon"]),
                 baseline=tuple(
-                    tuple(float(x) for x in row) for row in payload["baseline"]
+                    tuple(float(x) for x in _array(row, "baseline row"))
+                    for row in _array(payload["baseline"], "baseline")
                 ),
                 excitations=tuple(
                     Excitation(
                         kind=str(e["kind"]),
-                        block_pair=e["block_pair"],
+                        block_pair=_array(e["block_pair"], "block_pair"),
                         alpha=float(e["alpha"]),
                         beta=float(e["beta"]),
                     )
-                    for e in payload.get("excitations", ())
+                    for e in _array(payload.get("excitations", []), "excitations")
                 ),
                 block_assignment=(
-                    tuple(_whole(b, "block_assignment") for b in payload["block_assignment"])
-                    if payload.get("block_assignment")
-                    else None
+                    None if payload.get("block_assignment") is None else tuple(
+                        _whole(b, "block_assignment")
+                        for b in _array(payload["block_assignment"], "block_assignment"))
                 ),
                 max_events=_whole(payload.get("max_events", 500_000), "max_events"),
             )
@@ -255,122 +263,66 @@ def intensity(
     return lam
 
 
-class ExcitationGroup(NamedTuple):
-    """The excitation entries that share one beta, as CSR rows over the
-    source pairs p * n + q: row p * n + q lists the cells an event on
-    (p, q) excites, cells[indptr[r]:indptr[r + 1]], with the summed
-    alpha * beta of each in values and the row's sum in totals[r]."""
-
-    beta: float
-    indptr: np.ndarray
-    cells: np.ndarray
-    values: np.ndarray
-    totals: np.ndarray
-
-
-def _class_cells(kind: str, first: np.ndarray, second: np.ndarray, n: int):
-    """Source pairs and the cells they excite through one kind on the
-    block pair whose members are first and second. Each source's cells
-    come in ascending node order, as the source's fan is walked."""
-    if kind in ("self", "reciprocal"):
-        a, b = np.repeat(first, second.size), np.tile(second, first.size)
-        distinct = a != b
-        a, b = a[distinct], b[distinct]
-        cells = a * n + b
-        return (cells if kind == "self" else b * n + a), cells
-    # fan kinds: an event (p, q) excites (r, q) for shared-receiver and
-    # (q, r) for broadcast, over the block's members r other than p and q
-    hub, fan = (second, first) if kind == "shared-receiver" else (first, second)
-    q, p, r = hub[:, None, None], np.arange(n)[None, :, None], fan[None, None, :]
-    keep = (p != q) & (r != p) & (r != q)
-    cells = r * n + q if kind == "shared-receiver" else q * n + r
-    return (np.broadcast_to(p * n + q, keep.shape)[keep],
-            np.broadcast_to(cells, keep.shape)[keep])
-
-
-def excitation_map(params: BlockHawkesParams, labels) -> list[ExcitationGroup]:
-    """The cells each event excites, one group per distinct beta in order
-    of first entry, for the given node labels.
-
-    Entries of one kind and block pair hit the same cells and so are
-    summed into one value, in entry order from 0.0. Different kinds, or
-    one kind on different block pairs, never hit the same cell, so a row
-    lists each cell once, in the order the entries first hit it, and its
-    total sums the row's values in that order. A value of 0 is left out,
-    since adding it changes nothing. A kind on block pair (b1, b2) puts
-    one cell per ordered pair of distinct nodes in b1 x b2 for self and
-    reciprocal, and n - 2 per pair for the fan kinds: about n**3 / B**2
-    cells per fan-kind entry over B equal blocks. Above
-    MAX_EXCITATION_CELLS it raises ValueError before it allocates.
-    """
-    n = params.n_nodes
-    labels = np.asarray(labels, dtype=np.int64)
-    members = [np.flatnonzero(labels == b) for b in range(params.n_blocks)]
-    by_beta: dict[float, dict[tuple[str, tuple[int, int]], float]] = {}
-    for e in params.excitations:
-        jumps = by_beta.setdefault(e.beta, {})
-        key = (e.kind, e.block_pair)
-        jumps[key] = jumps.get(key, 0.0) + e.alpha * e.beta
-    sizes = [block.size for block in members]
-    n_cells = 0
-    for jumps in by_beta.values():
-        for (kind, (b1, b2)), jump in jumps.items():
-            if jump != 0.0:
-                pairs = sizes[b1] * sizes[b2] - (sizes[b1] if b1 == b2 else 0)
-                n_cells += pairs if kind in ("self", "reciprocal") else (n - 2) * pairs
-    if n_cells > MAX_EXCITATION_CELLS:
-        raise ValueError(
-            f"the excitation map over {n} nodes has {n_cells} cells and needs "
-            f"about {65 * n_cells} bytes, above the limit of "
-            f"{MAX_EXCITATION_CELLS} cells"
-        )
-    groups = []
-    for beta, jumps in by_beta.items():
-        src, hit, value = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for (kind, (b1, b2)), jump in jumps.items():
-            if jump != 0.0:  # adding 0 changes nothing
-                sources, cells = _class_cells(kind, members[b1], members[b2], n)
-                src.append(sources)
-                hit.append(cells)
-                value.append(np.full(sources.size, jump))
-        src, hit, value = map(np.concatenate, (src, hit, value))
-        order = np.argsort(src, kind="stable")  # keeps first-hit order per row
-        src, cells, values = src[order], hit[order], value[order]
-        indptr = np.searchsorted(src, np.arange(n * n + 1))
-        totals = np.zeros(n * n)
-        np.add.at(totals, src, values)  # each row left to right, as sum() adds
-        groups.append(ExcitationGroup(beta, indptr, cells, values, totals))
-    return groups
-
-
 def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
     """Sample one network on [0, horizon] by thinning the summed intensity.
 
     Blocks are drawn first (unless fixed in params), then events. The
     upper bound is refreshed after every accepted or rejected candidate;
-    validity of the bound is checked at each candidate.
+    validity of the bound is checked at each candidate. Above
+    MAX_SIMULATED_NODES nodes it raises ValueError before it allocates.
     """
     params.validate()
-    rng = np.random.default_rng(np.random.PCG64(seed))
     n = params.n_nodes
+    if n > MAX_SIMULATED_NODES:
+        raise ValueError(
+            f"simulating {n} nodes needs n*n rate arrays of {8 * n * n} bytes "
+            f"each, above the limit of {MAX_SIMULATED_NODES} nodes"
+        )
+    rng = np.random.default_rng(np.random.PCG64(seed))
     if params.block_assignment is not None:
         labels = np.array(params.block_assignment, dtype=np.int64)
     else:
         labels = rng.choice(params.n_blocks, size=n, p=np.asarray(params.block_probs))
         labels = labels.astype(np.int64)
-    groups = excitation_map(params, labels)  # checks its size before any n*n array
     mu = params.baseline_array()[np.ix_(labels, labels)]
     np.fill_diagonal(mu, 0.0)
     mu_sum = float(mu.sum())
 
-    nn = n * n
-    mu = mu.reshape(-1)
-    neg_betas = [-group.beta for group in groups]
-    jumps = [(g, group.indptr.tolist(), group.cells, group.values, group.totals.tolist())
-             for g, group in enumerate(groups)]
-    base = [np.zeros(nn) for _ in groups]
-    scale = [1.0] * len(groups)
-    total = [0.0] * len(groups)  # total[g] is base[g].sum()
+    # Entries of one kind and block pair hit the same cells, so their
+    # alpha * beta are summed in entry order; a sum of 0 changes nothing.
+    by_beta: dict[float, dict[tuple[str, tuple[int, int]], float]] = {}
+    for e in params.excitations:
+        jumps = by_beta.setdefault(e.beta, {})
+        key = (e.kind, e.block_pair)
+        jumps[key] = jumps.get(key, 0.0) + e.alpha * e.beta
+    members = [np.flatnonzero(labels == b) for b in range(params.n_blocks)]
+    sizes = [block.size for block in members]
+    # plans[bp][bq]: for each group an event between blocks bp and bq
+    # excites, its steps (kind, jump, fan block) and the jump it adds to
+    # the group's total, summed left to right over the cells it hits
+    plans = [[[] for _ in members] for _ in members]
+    for bp, row in enumerate(plans):
+        for bq, plan in enumerate(row):
+            for g, jumps in enumerate(by_beta.values()):
+                steps, added = [], 0.0
+                for (kind, (b1, b2)), jump in jumps.items():
+                    hub, fan = (b2, b1) if kind == "shared-receiver" else (b1, b2)
+                    if kind == "self" or kind == "reciprocal":
+                        hits = (bp, bq) == ((b1, b2) if kind == "self" else (b2, b1))
+                    else:  # the fan block's members other than p and q
+                        hits = (bq == hub) * (sizes[fan] - (bp == fan) - (bq == fan))
+                    if jump != 0.0 and hits > 0:
+                        steps.append((kind, jump, members[fan]))
+                        for _ in range(hits):
+                            added += jump
+                if steps:
+                    plan.append((g, steps, added))
+
+    block_of = labels.tolist()
+    neg_betas = [-beta for beta in by_beta]
+    base = [np.zeros((n, n)) for _ in by_beta]
+    scale = [1.0] * len(base)
+    total = [0.0] * len(base)  # total[g] is base[g].sum()
 
     exponential, random = rng.exponential, rng.random
     events_src: list[int] = []
@@ -381,9 +333,7 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
     t = 0.0
     bound = mu_sum
     horizon = params.horizon
-    while True:
-        if bound <= 0.0:
-            break
+    while bound > 0.0:
         wait = exponential(1.0 / bound)
         t_cand = t + wait
         if t_cand > horizon:
@@ -408,20 +358,30 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
                 rates = rates + row * s
             cum = rates.cumsum()
             pick = random() * cum[-1]
-            idx = min(int(cum.searchsorted(pick, "right")), nn - 1)
-            p, q = divmod(idx, n)
+            p, q = divmod(min(int(cum.searchsorted(pick, "right")), n * n - 1), n)
             add_src(p)
             add_tgt(q)
             add_time(t_cand)
             if len(events_time) > params.max_events:
                 raise RuntimeError("simulation exceeded max_events")
+            # each cell gets one addition; a fan step adds over the whole
+            # block, then puts back entry p of its line, which the fan skips,
+            # and the diagonal entry q, which stays 0.0.
+            # A pick clamped onto the last cell (n-1, n-1) excites nothing.
+            for g, steps, added in plans[block_of[p]][block_of[q]] if p != q else ():
+                s, cells = scale[g], base[g]
+                for kind, jump, fan in steps:
+                    if kind == "self":
+                        cells[p, q] += jump / s
+                    elif kind == "reciprocal":
+                        cells[q, p] += jump / s
+                    else:  # column q for shared-receiver, row q for broadcast
+                        line = cells[:, q] if kind == "shared-receiver" else cells[q]
+                        own = line[p]
+                        line[fan] += jump / s
+                        line[p], line[q] = own, 0.0
+                total[g] += added / s
             lam = mu_sum
-            for g, indptr, cells, values, totals in jumps:
-                start, stop = indptr[idx], indptr[idx + 1]
-                if start < stop:
-                    s = scale[g]
-                    base[g][cells[start:stop]] += values[start:stop] / s  # distinct cells
-                    total[g] += totals[idx] / s
             for s, tot in zip(scale, total):
                 lam += s * tot
         t = t_cand

@@ -21,7 +21,6 @@ from motifroles.graph import parse_edge_list
 from motifroles.hawkes import (
     SCENARIO_DELTAS,
     BlockHawkesParams,
-    Excitation,
     read_params,
     scenario_params,
     write_params,
@@ -479,15 +478,16 @@ def test_cluster_and_eval_refuse_more_profiles_than_the_ward_limit(
     assert not out.exists()
 
 
-def test_simulate_and_eval_refuse_an_excitation_map_above_the_limit(tmp_path, capsys):
-    n = 1000
+def test_simulate_and_eval_refuse_more_nodes_than_the_limit(tmp_path, capsys):
+    # no excitations: only the node bound stands between this file and
+    # numpy's own allocation error
+    n = 1_000_000
     params = BlockHawkesParams(
-        n_nodes=n, block_probs=(1.0,), horizon=1.0, baseline=((0.1,),),
-        excitations=(Excitation("shared-receiver", (0, 0), alpha=0.5 / (n - 2), beta=1.0),))
+        n_nodes=n, block_probs=(1.0,), horizon=1.0, baseline=((0.1,),))
     pfile = tmp_path / "big.json"
     write_params(params, pfile)
-    message = (f"the excitation map over 1000 nodes has {998 * 999000} cells and "
-               f"needs about {65 * 998 * 999000} bytes, above the limit of 50000000 cells")
+    message = (f"simulating 1000000 nodes needs n*n rate arrays of {8 * n * n} bytes "
+               "each, above the limit of 5000 nodes")
     out = tmp_path / "sim"
     assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

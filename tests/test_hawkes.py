@@ -4,7 +4,6 @@ import math
 import time
 import tracemalloc
 import types
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from motifroles.hawkes import (
     BlockHawkesParams,
     Excitation,
     SCENARIO_DELTAS,
-    excitation_map,
     intensity,
     read_params,
     scenario_delta,
@@ -194,6 +192,38 @@ class TestValidation:
             float(b) for b in payload["excitations"][0]["block_pair"]
         ]
         assert BlockHawkesParams.from_json(json.dumps(payload)) == scenario_params(1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("block_probs", "01"),
+        ("baseline", 0.0002),
+        ("baseline", [[0.0002, 0.0002], "00"]),
+        ("block_pair", "10"),
+        ("block_assignment", "01" * 10),
+        ("block_assignment", 0),
+        ("block_assignment", ""),
+        ("excitations", ""),
+    ])
+    def test_from_json_requires_json_arrays(self, field, value):
+        # iterating a digit string would read "10" as the block pair (1, 0),
+        # and an empty string or 0 must not read as an absent field
+        payload = json.loads(scenario_params(1).to_json())
+        if field == "block_pair":
+            payload["excitations"][0][field] = value
+        else:
+            payload[field] = value
+        with pytest.raises(ValueError, match=f"^{field}( row)? must be a JSON array, not "):
+            BlockHawkesParams.from_json(json.dumps(payload))
+
+    def test_from_json_reads_only_a_missing_or_null_assignment_as_absent(self):
+        payload = json.loads(scenario_params(1).to_json())
+        assert payload["block_assignment"] is None
+        assert BlockHawkesParams.from_json(json.dumps(payload)) == scenario_params(1)
+        del payload["block_assignment"]
+        assert BlockHawkesParams.from_json(json.dumps(payload)) == scenario_params(1)
+        for value in ([], [0, 1]):
+            payload["block_assignment"] = value
+            with pytest.raises(ValueError, match="block_assignment length must equal n_nodes"):
+                BlockHawkesParams.from_json(json.dumps(payload))
 
     def test_fan_out_counts_toward_stability(self):
         # alpha=0.3 is stable for a lone pair but not once 4 third parties
@@ -454,7 +484,9 @@ def assert_same_as_reference(params, seed):
 def random_params(draw):
     """1-3 blocks, 2-8 nodes, 0-11 entries of any kind, alphas scaled so
     the worst block pair receives kernel mass 0.9. When `shared` is drawn
-    every entry sits on one block pair, so a cell sums up to 12 rows."""
+    every entry sits on one block pair, so a cell sums up to 12 rows. An
+    alpha of 0 is drawn too, so an entry can add nothing and a beta group
+    can be empty."""
     n_blocks = draw(st.integers(1, 3))
     n_nodes = draw(st.integers(2, 8))
     block = st.integers(0, n_blocks - 1)
@@ -465,7 +497,7 @@ def random_params(draw):
         raw.append((
             draw(st.sampled_from(EXCITATION_KINDS)),
             common if shared else (draw(block), draw(block)),
-            draw(st.floats(0.05, 1.0)),
+            draw(st.just(0.0) | st.floats(0.05, 1.0)),
             draw(st.sampled_from((0.3, 1.0, 1.7, 4.0))),
         ))
     fan = {"self": 1, "reciprocal": 1}
@@ -561,90 +593,51 @@ class TestThinningReference:
         assert net.candidates > net.graph.n_edges
 
 
-class TestExcitationMap:
-    @settings(max_examples=50, deadline=None)
-    @given(random_params(), st.data())
-    def test_rows_equal_the_intensity_formula(self, params, data):
-        # one event on (p, q) at time 0, read at a time so small that every
-        # kernel still equals alpha * beta: the jump of each pair's intensity
-        # is what the map's row for (p, q) puts on that pair
-        n = params.n_nodes
-        labels = params.block_assignment or data.draw(
-            st.lists(st.integers(0, params.n_blocks - 1), min_size=n, max_size=n))
-        groups = excitation_map(params, labels)
-        assert [g.beta for g in groups] == list(dict.fromkeys(e.beta for e in params.excitations))
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        for p, q in pairs:
-            row: dict[int, float] = {}
-            for g in groups:
-                start, stop = g.indptr[p * n + q], g.indptr[p * n + q + 1]
-                cells, values = g.cells[start:stop].tolist(), g.values[start:stop].tolist()
-                assert len(set(cells)) == len(cells)
-                # the row's total is its values added left to right from 0.0
-                total = 0.0
-                for value in values:
-                    total += value
-                assert g.totals[p * n + q] == total
-                for cell, value in zip(cells, values):
-                    row[cell] = row.get(cell, 0.0) + value
-            for u, v in pairs:
-                mu = params.baseline[labels[u]][labels[v]]
-                jump = intensity(params, [(p, q, 0.0)], (u, v), 1e-300, labels) - mu
-                if u * n + v in row:
-                    assert row[u * n + v] == pytest.approx(jump, rel=1e-12)
-                else:
-                    assert jump == 0.0
+def traced_peak(call):
+    """call() under tracemalloc; returns (its result, the traced peak)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    @settings(max_examples=50, deadline=None)
-    @given(random_params(), st.data())
-    def test_limit_counts_the_cells_exactly(self, params, data):
-        n = params.n_nodes
-        labels = params.block_assignment or data.draw(
-            st.lists(st.integers(0, params.n_blocks - 1), min_size=n, max_size=n))
-        size = sum(g.cells.size for g in excitation_map(params, labels))
-        with mock.patch.object(hawkes, "MAX_EXCITATION_CELLS", size):
-            excitation_map(params, labels)
-        with mock.patch.object(hawkes, "MAX_EXCITATION_CELLS", size - 1):
-            with pytest.raises(ValueError, match=f" has {size} cells "):
-                excitation_map(params, labels)
 
+class TestNodeLimit:
     def test_limit_is_checked_before_allocating(self):
-        # one block of 1,000 nodes under a broadcast entry maps about 10**9
-        # cells, some 65 GB; the refusal costs only the labels
-        n = 1000
-        cells = (n - 2) * n * (n - 1)
-        params = one_block_params(n_nodes=n, excitations=[
-            Excitation("broadcast", (0, 0), alpha=0.5 / (n - 2), beta=1.0)])
-        tracemalloc.start()
+        # with no excitations nothing but n bounds the n x n state, and a
+        # million nodes would ask for 8 TB per array; the refusal costs
+        # only the check
+        n = 1_000_000
+        params = BlockHawkesParams(n_nodes=n, block_probs=(1.0,), horizon=1.0,
+                                   baseline=((0.1,),))
         start = time.perf_counter()
-        try:
+
+        def refuse():
             with pytest.raises(ValueError, match=(
-                    f"^the excitation map over 1000 nodes has {cells} cells and needs "
-                    f"about {65 * cells} bytes, above the limit of 50000000 cells$")):
+                    f"^simulating 1000000 nodes needs n\\*n rate arrays of {8 * n * n} "
+                    "bytes each, above the limit of 5000 nodes$")):
                 simulate(params, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(refuse)
         assert time.perf_counter() - start < 0.5
         assert peak < 10**6
 
-    def test_rows_list_cells_in_first_hit_order(self):
-        # entries of one kind and block pair sum onto the same cells, and a
-        # later entry of another kind appends its cells after them
-        params = BlockHawkesParams(
-            n_nodes=4, block_probs=(1.0,), horizon=1.0, baseline=((0.1,),),
+    def test_fan_kinds_keep_memory_to_the_state(self):
+        # scenario 2's shape at 120 nodes: each accepted event excites a
+        # block's members straight from the labels, so the peak stays a few
+        # n x n arrays (115 KB each) and does not grow with n**3
+        n = 120
+        params = dataclasses.replace(
+            scenario_params(2), n_nodes=n, horizon=20.0,
             excitations=(
-                Excitation("broadcast", (0, 0), alpha=0.1, beta=2.0),
-                Excitation("self", (0, 0), alpha=0.2, beta=2.0),
-                Excitation("broadcast", (0, 0), alpha=0.05, beta=2.0),
-                Excitation("self", (0, 0), alpha=0.0, beta=1.0),
+                Excitation("shared-receiver", (0, 1), alpha=0.9 / (n - 2), beta=1.0),
+                Excitation("broadcast", (1, 0), alpha=0.9 / (n - 2), beta=1.0),
             ),
         )
-        broadcast, zero = excitation_map(params, (0, 0, 0, 0))
-        start, stop = broadcast.indptr[1], broadcast.indptr[2]  # event (0, 1)
-        assert broadcast.cells[start:stop].tolist() == [1 * 4 + 2, 1 * 4 + 3, 0 * 4 + 1]
-        assert broadcast.values[start:stop].tolist() == [0.2 + 0.1, 0.2 + 0.1, 0.4]
-        assert zero.beta == 1.0 and zero.cells.size == 0 and not zero.totals.any()
+        net, peak = traced_peak(lambda: simulate(params, seed=3))
+        assert net.graph.n_edges > 0
+        assert peak < 4 * 10**6
 
 
 def rescaled_increments(params, net):
