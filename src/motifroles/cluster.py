@@ -9,7 +9,10 @@ in the minimum Delta break toward the smallest (left, right) id pair.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +23,9 @@ from .table import write_node_table
 _HEIGHT_SLACK = 1e-9  # relative tolerance for the monotonicity check
 # Ward's distance matrix takes 8 n^2 bytes: 3.2 GB at this many leaves.
 MAX_WARD_LEAVES = 20_000
+# Least distances a thread of Ward's set-up computes: with fewer, starting
+# the thread costs about what it saves.
+_PART_DISTANCES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -112,18 +118,76 @@ def _as_points(profiles) -> np.ndarray:
     return x
 
 
+def usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _distances(x: np.ndarray) -> np.ndarray:
+    """The n x n matrix of 0.5 ||x_i - x_j||^2, with +inf on the diagonal.
+
+    Row i's part above the diagonal is one subtraction x_i - x_{i+1:} and
+    one einsum reduction, whichever thread computes it, so every entry has
+    the same bits for any CPU count. The rows are split into parts of
+    about equal distance counts, one per usable CPU but none with fewer
+    than _PART_DISTANCES distances, and each part after the first runs on
+    its own thread (numpy releases the GIL inside both calls); every
+    thread is joined before this returns.
+    """
+    n = x.shape[0]
+    dist = np.empty((n, n))
+    np.fill_diagonal(dist, np.inf)
+    filled = np.arange(n - 1, 0, -1).cumsum()  # distances in rows 0..i
+    parts = max(1, min(usable_cpus(), filled[-1] // _PART_DISTANCES))
+    bounds = np.searchsorted(filled, filled[-1] * np.arange(parts + 1) / parts, "right")
+    errors: list[Exception] = []
+
+    def fill(rows: range) -> None:
+        try:
+            for i in rows:
+                diff = x[i] - x[i + 1 :]
+                row = 0.5 * np.einsum("jk,jk->j", diff, diff)
+                dist[i, i + 1 :] = dist[i + 1 :, i] = row
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    spans = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    # each thread runs in a copy of this context, so np.errstate holds there
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(fill, rows))
+        for rows in spans[1:]
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        fill(spans[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return dist
+
+
 def ward_linkage(profiles) -> Dendrogram:
     """Agglomerate with Ward's criterion via Lance-Williams updates.
 
     Accepts a ProfileMatrix or a plain (n, d) array. The Dendrogram it
-    returns checks on every run that no height is NaN or decreasing.
+    returns checks on every run that no height is decreasing; a NaN
+    height, which only overflowing distances can give, raises ValueError.
 
-    This is the generic algorithm with a nearest-neighbour cache (Muellner,
-    arXiv:1109.2378): one n x n distance matrix, where a merged cluster
-    takes over its left child's slot, and for each live cluster its nearest
-    neighbour among the live clusters with a larger id. Taking the first
-    minimum over the cache in id order merges the same pair as scanning the
-    whole upper triangle, so the greedy order and the tie-break hold.
+    The generic algorithm with a nearest-neighbour bound (Muellner,
+    arXiv:1109.2378) on fixed slots: one n x n distance matrix, where a
+    merged cluster takes over its left child's slot and a dead slot's row
+    and column hold +inf, and each slot's row minimum. Each step takes the
+    global minimum h, the smallest cluster id whose row minimum is h and
+    that cluster's smallest-id partner at h: the first minimum of the live
+    upper triangle in id order, so ties break to the smallest (left,
+    right) id pair. Only rows whose minimum sat on a merged slot are
+    scanned again.
     """
     x = _as_points(profiles)
     n = x.shape[0]
@@ -134,49 +198,46 @@ def ward_linkage(profiles) -> Dendrogram:
             f"Ward linkage over {n} profiles needs a distance matrix of "
             f"{8 * n * n} bytes, above the limit of {MAX_WARD_LEAVES} profiles"
         )
-    dist = np.zeros((n, n))
-    nn = np.full(n, -1)  # slot of the cached nearest neighbour
-    nn_dist = np.full(n, np.inf)
-    for i in range(n - 1):
-        diff = x[i] - x[i + 1 :]
-        row = 0.5 * np.einsum("jk,jk->j", diff, diff)
-        dist[i, i + 1 :] = dist[i + 1 :, i] = row
-        j = int(np.argmin(row))  # first minimum = smallest id
-        nn[i], nn_dist[i] = i + 1 + j, row[j]
+    dist = _distances(x)
+    row_min = dist.min(axis=1)
+    dead = 2 * n  # id of a dead slot, above every cluster id
     ids = np.arange(n)  # cluster id held by each slot
-    sizes = np.ones(n, dtype=np.int64)
-    order = np.arange(n)  # live slots in id order
+    sizes = np.ones(n)  # float64, so the update below converts nothing
+    new, term = np.empty(n), np.empty(n)
     merges: list[Merge] = []
     for step in range(n - 1):
-        best = int(np.argmin(nn_dist[order]))  # smallest (left, right) on ties
-        a = int(order[best])
-        b = int(nn[a])
-        height = float(nn_dist[a])
+        height = row_min[np.argmin(row_min)]  # a NaN ranks first
+        if math.isnan(height):
+            raise ValueError("Ward merge height is NaN: squared distances overflow")
+        tied = np.flatnonzero(row_min == height)
+        a = int(tied[np.argmin(ids[tied])])
+        # a's slot takes the new id, above every live one, so a is never
+        # its own partner below, even when h and a's diagonal are +inf
+        left, ids[a] = int(ids[a]), n + step
+        da = dist[a]
+        near = np.flatnonzero(da == height)
+        b = int(near[np.argmin(ids[near])])
+        db = dist[b]
         si, sj = sizes[a], sizes[b]
-        order = order[(order != a) & (order != b)]
-        sk = sizes[order]
-        d_new = (
-            (si + sk) * dist[a, order] + (sj + sk) * dist[b, order] - sk * height
-        ) / (si + sj + sk)
-        dist[a, order] = dist[order, a] = d_new
-        sizes[a] = si + sj
-        merges.append(Merge(int(ids[a]), int(ids[b]), height, int(sizes[a])))
-        ids[a] = n + step  # the largest live id, so it has no cached neighbour
-        nn[a], nn_dist[a] = -1, np.inf
-        # A cache that pointed at a child is recomputed. Any other one moves
-        # to the new cluster only when it is strictly nearer, because on a
-        # tie the older, smaller id wins, or when it had no larger id to
-        # point at.
-        cached = nn[order]
-        stale = (cached == a) | (cached == b)
-        closer = ~stale & ((d_new < nn_dist[order]) | (cached < 0))
-        nn[order[closer]], nn_dist[order[closer]] = a, d_new[closer]
-        order = np.append(order, a)
-        for pos in np.flatnonzero(stale):
-            k, later = order[pos], order[pos + 1 :]
-            row = dist[k, later]
-            j = int(np.argmin(row))
-            nn[k], nn_dist[k] = later[j], row[j]
+        merges.append(Merge(left, int(ids[b]), float(height), int(si + sj)))
+        if step == n - 2:
+            break
+        # rows whose minimum sat on a or b; a dead slot's minimum and its
+        # entries in da and db are all +inf, so dead slots are masked out
+        # (b's row is scanned again below, once it is all +inf)
+        stale = np.flatnonzero(((da == row_min) | (db == row_min)) & (ids < dead))
+        # d(a+b, k) = ((si + sk) d(a, k) + (sj + sk) d(b, k) - sk h) / (si + sj + sk)
+        np.multiply(np.add(sizes, si, out=new), da, out=new)
+        np.multiply(np.add(sizes, sj, out=term), db, out=term)
+        new += term
+        new -= np.multiply(sizes, height, out=term)
+        new /= np.add(sizes, si + sj, out=term)
+        new[a] = np.inf
+        dist[a] = dist[:, a] = new
+        dist[b] = dist[:, b] = np.inf
+        sizes[a], ids[b] = si + sj, dead
+        np.minimum(row_min, new, out=row_min)
+        row_min[stale] = dist[stale].min(axis=1)
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 

@@ -270,14 +270,16 @@ def _pair_weights(lens: np.ndarray) -> np.ndarray:
     return width * (width - 1) // 2
 
 
-def _groups(g: TemporalGraph, index):
+def _groups(g: TemporalGraph, index, drop_tied: bool):
     """Yield, per block of first edges, the incidence groups as arrays over
     their members: first edge, member edge, member endpoint code
     3·c(source) + c(target) with c(u) = 0, c(v) = 1 and c(other) = 2 for
     the first edge (u, v), and the member's third node or -1; then the
-    group sizes. Members of a group are later edges in the first edge's
+    group sizes and the number of member pairs before any member is
+    dropped. Members of a group are later edges in the first edge's
     window that touch u or v, each once, in time order, and the groups
-    follow each other in first-edge order. index is the _incidence of
+    follow each other in first-edge order. With drop_tied, members with
+    the first edge's timestamp are left out. index is the _incidence of
     the windows."""
     m = g.n_edges
     src, tgt = g.src, g.tgt
@@ -291,12 +293,18 @@ def _groups(g: TemporalGraph, index):
         keep = (side % 2 == 0) | ((src[edge] != u) & (tgt[edge] != u))
         key = np.sort(first[keep] * m + edge[keep])
         first, edge = np.divmod(key, m)
+        size = np.bincount(first - i0)
+        pairs = int((size * (size - 1) // 2).sum())
+        if drop_tied:
+            untied = g.time[edge] != g.time[first]
+            first, edge = first[untied], edge[untied]
+            size = np.bincount(first - i0)
         u, v = src[first], tgt[first]
         s, t = src[edge], tgt[edge]
         su, sv, tu, tv = (a.view(np.int8) for a in (s == u, s == v, t == u, t == v))
         code = 8 - 6 * su - 3 * sv - 2 * tu - tv  # c(x) = 2 - 2·[x = u] - [x = v]
         third = np.where(su | sv, np.where(tu | tv, -1, t), s)
-        yield first, edge, code, third, np.bincount(first - i0)
+        yield first, edge, code, third, size, pairs
 
 
 def _pairs(size: np.ndarray):
@@ -322,8 +330,11 @@ def count_motifs(
     For each first edge (u, v) only the later edges inside its window that
     touch u or v are paired. This is exact because every edge of an
     instance touches u or v (see the module docstring). `candidates`
-    records how many triples were classified and `candidate_bound` the
-    sum over first edges of C(width, 2), an upper bound on it taken in
+    records the member pairs, C(size, 2) summed over the first edges'
+    groups; under exclude-ties a member with the first edge's timestamp
+    can be in no instance and is dropped before pairing, so fewer triples
+    than that are classified. `candidate_bound` is the sum over first
+    edges of C(width, 2), an upper bound on candidates taken in
     O(m log m) before classifying. When that bound is above
     max_candidates, ValueError is raised before any triple is classified.
     """
@@ -342,20 +353,19 @@ def count_motifs(
     n = g.n_nodes
     counts_flat = np.zeros(n * catalog.N_CSV_CELLS, dtype=np.int64)
     candidates = 0
-    for first, edge, code, third, size in _groups(g, index):
+    for first, edge, code, third, size, pairs in _groups(g, index, exclude_ties):
+        candidates += pairs
         code9 = code * 9
         if exclude_ties:
             t = g.time[edge]
-            untied = t != g.time[first]
         for x, y in _pairs(size):
-            candidates += x.shape[0]
             # every key of two members that agree on the third node names
             # a motif, since all 6 x 6 directed edge pairs on 3 nodes do
             motif = catalog.KEY_TO_MOTIF_INDEX[code9[x] + code[y]]
             tx, ty = third[x], third[y]
             ok = (tx == ty) | (tx < 0) | (ty < 0)
             if exclude_ties:
-                ok &= untied[x] & (t[x] != t[y])
+                ok &= t[x] != t[y]
             sel = np.flatnonzero(ok)
             if not sel.size:
                 continue

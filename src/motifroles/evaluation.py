@@ -7,13 +7,12 @@ import concurrent.futures.process  # loaded here, not inside a timed eval
 import functools
 import math
 import multiprocessing
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import CELL_MOTIF_INDEX, POSITIONED_CELL_NAMES, TWO_NODE_MOTIFS
-from .cluster import centroids, cut, permutation_accuracy, ward_linkage
+from .cluster import centroids, cut, permutation_accuracy, usable_cpus, ward_linkage
 from .counting import count_motifs
 from .hawkes import BlockHawkesParams, simulate
 from .profiles import build_positioned, build_positionless
@@ -141,14 +140,6 @@ def evaluate_run(
     except (ValueError, RuntimeError) as exc:
         exc.args = (f"seed {seed}: {exc}",)
         raise
-
-
-def usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def evaluate_scenario(

@@ -642,16 +642,27 @@ def test_simulate_outputs_are_pinned(tmp_path, which, edges_digest):
     )
 
 
-def sparse_count_profiles(n_rows, seed):
+def sparse_count_profiles(n_rows, seed, draws=5, copies=0):
     """Positioned profiles from small integer counts on a few cells each,
     drawn with a fixed 64-bit LCG so that the input does not depend on
-    numpy's generators; many rows and distances tie exactly."""
+    numpy's generators; many rows and distances tie exactly. A row sums
+    `draws` increments of 1 to 3 on every fourth of the first 96 cells;
+    with copies c, each row after the first repeats an earlier row with
+    chance c / 16."""
     x, rows = seed, []
+
+    def step():
+        nonlocal x
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        return x
+
     for _ in range(n_rows):
+        if copies and rows and step() >> 60 < copies:
+            rows.append(rows[(x >> 33) % len(rows)])
+            continue
         row = [0] * catalog.N_POSITIONED_CELLS
-        for _ in range(5):
-            x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
-            row[(x >> 33) % 24 * 4] += 1 + (x >> 20) % 3
+        for _ in range(draws):
+            row[(step() >> 33) % 24 * 4] += 1 + (x >> 20) % 3
         rows.append(row)
     counts = np.array(rows, dtype=np.float64)
     return ProfileMatrix("positioned", tuple(f"n{i}" for i in range(n_rows)),
@@ -671,6 +682,24 @@ def test_cluster_dendrograms_are_pinned(tmp_path, toy_csv):
         "6d0e6f1004bdd7b702ea673d826ee3a6009f4c5250d3ebb1c5249a3900251fdf",
         "82bebad93dfe3528f2ec2b6e39a6b74f67897aacc995b09b53e8dd0b226b0de2",
     ]
+
+
+@pytest.mark.parametrize("n_rows, seed, draws, copies, digest", [
+    # tie-heavy: three increments a row and most rows copies of earlier ones
+    (300, 11, 3, 10, "1729b2473cc0076a1eaa41240e9c0b43cdbcb32f1aafda602bc272b4fbf9c1c4"),
+    # large enough for the Ward set-up to run on several threads
+    (1000, 13, 60, 0, "25e4d714d03e03cbdc7d11676ee7debfe094f4db8debb8996339f1e04ea3f2d3"),
+])
+def test_cluster_dendrograms_of_csv_profiles_are_pinned(tmp_path, n_rows, seed, draws,
+                                                        copies, digest):
+    # read_profile_csv returns column-major vectors, whose einsum rounding
+    # the in-memory test references never see; these pins guard it
+    pfile = tmp_path / "profiles.csv"
+    sparse_count_profiles(n_rows, seed, draws, copies).write_csv(pfile)
+    assert main(["cluster", "--profiles", str(pfile), "--k", "4",
+                 "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "dendrogram.txt").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_emitted_scenario_2_params_are_pinned(tmp_path):

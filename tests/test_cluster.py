@@ -1,5 +1,7 @@
 import io
 import itertools
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import linkage
 from scipy.optimize import linear_sum_assignment
 
+from motifroles import cluster
 from motifroles.cluster import (
     MAX_WARD_LEAVES,
     Dendrogram,
@@ -243,6 +246,58 @@ def test_ward_size_limit_is_checked_before_allocating():
         tracemalloc.stop()
     assert time.perf_counter() - start < 0.5
     assert peak < 10**6
+
+
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """Counts the threads started while the test runs."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    return started
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_linkage_does_not_depend_on_the_cpu_count(monkeypatch, started_threads, layout):
+    # 460 rows hold 105,570 distances, enough for three set-up threads
+    rng = np.random.default_rng(7)
+    pts = np.asarray(rng.integers(0, 4, size=(460, 12)) / 3.0, order=layout)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads interleave as often as they can
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cluster, "usable_cpus", lambda cpus=cpus: cpus)
+            before = threading.active_count()
+            results.append(merge_tuples(ward_linkage(pts)))
+            assert threading.active_count() == before  # every thread was joined
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(started_threads) == 0 + 1 + 2  # the caller computes one part itself
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_small_inputs_set_up_on_the_calling_thread(monkeypatch, started_threads):
+    monkeypatch.setattr(cluster, "usable_cpus", lambda: 4)
+    ward_linkage(np.random.default_rng(3).normal(size=(156, 104)))
+    assert started_threads == []
+
+
+def test_set_up_errors_reach_the_caller_from_every_thread(monkeypatch):
+    # only the second thread's rows subtract 1e308 - (-1e308); the caller's
+    # np.errstate holds in that thread, and its error is raised here
+    monkeypatch.setattr(cluster, "usable_cpus", lambda: 2)
+    pts = np.zeros((400, 2))
+    pts[-2:, 0] = 1e308, -1e308
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        ward_linkage(pts)
+    assert threading.active_count() == before
 
 
 @settings(max_examples=40, deadline=None)
