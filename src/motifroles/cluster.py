@@ -47,7 +47,7 @@ class Dendrogram:
         if len(self.merges) != self.n_leaves - 1:
             raise ValueError("dendrogram must contain exactly n-1 merges")
         used: set[int] = set()
-        sizes = {i: 1 for i in range(self.n_leaves)}
+        sizes = [1] * self.n_leaves  # by cluster id
         prev = 0.0
         for step, m in enumerate(self.merges):
             new_id = self.n_leaves + step
@@ -59,7 +59,7 @@ class Dendrogram:
                 used.add(child)
             if sizes[m.left] + sizes[m.right] != m.size:
                 raise ValueError("merge size must equal the sum of child sizes")
-            sizes[new_id] = m.size
+            sizes.append(m.size)
             if math.isnan(m.height):
                 raise ValueError("merge height must not be NaN")
             # no slack after an infinite height: inf - inf would be NaN
@@ -353,12 +353,10 @@ def permutation_accuracy(pred, truth) -> float:
 def serialize_dendrogram(
     dendrogram: Dendrogram, node_names: Sequence[str]
 ) -> str:
-    """Line-oriented text form: leaf name table then merge records.
-
-    Records are newline-terminated, so a name holding a line feed or a
-    carriage return (which universal-newline reading turns into a line
-    feed) is rejected.
-    """
+    """Line-oriented text form: two "#" lines, `n_leaves N`, `leaf i <name>`
+    for i = 0..N-1 and `merge left right height size` for each merge. Each
+    record ends in a line feed, so a name holding a line feed or a carriage
+    return (which universal-newline reading turns into one) is rejected."""
     if len(node_names) != dendrogram.n_leaves:
         raise ValueError("name count does not match leaf count")
     for name in node_names:
@@ -377,33 +375,33 @@ def serialize_dendrogram(
 
 
 def parse_dendrogram(text: str) -> tuple[Dendrogram, tuple[str, ...]]:
+    """Inverse of serialize_dendrogram, record for record; a name is all of
+    its line after `leaf i `. A record out of the writer's order, repeated or
+    malformed is a bad line; empty and "#" lines are skipped."""
     n_leaves = None
-    names: dict[int, str] = {}
+    names: list[str] = []
     merges: list[Merge] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")  # no written name holds one
         if not line or line.startswith("#"):
             continue
-        parts = line.split(" ")
+        kind, _, rest = line.partition(" ")
         try:
-            if parts[0] == "n_leaves" and len(parts) == 2:
-                n_leaves = int(parts[1])
-            elif parts[0] == "leaf" and len(parts) >= 3:
-                names[int(parts[1])] = " ".join(parts[2:])
-            elif parts[0] == "merge" and len(parts) == 5:
-                merges.append(
-                    Merge(int(parts[1]), int(parts[2]), float(parts[3]), int(parts[4]))
-                )
+            if kind == "merge" and n_leaves == len(names):
+                left, right, height, size = rest.split(" ")
+                merges.append(Merge(int(left), int(right), float(height), int(size)))
+            elif (kind == "leaf" and n_leaves is not None and len(names) < n_leaves
+                  and rest.startswith(f"{len(names)} ")):
+                names.append(rest.partition(" ")[2])
+            elif kind == "n_leaves" and n_leaves is None:
+                n_leaves = int(rest)
             else:
                 raise ValueError
         except ValueError:
-            raise ValueError(f"dendrogram file: bad line {lineno}: {raw!r}") from None
-    if n_leaves is None:
-        raise ValueError("dendrogram file: missing n_leaves record")
-    if sorted(names) != list(range(n_leaves)):
-        raise ValueError("dendrogram file: leaf records do not cover 0..n-1")
-    dendro = Dendrogram(n_leaves=n_leaves, merges=tuple(merges))
-    return dendro, tuple(names[i] for i in range(n_leaves))
+            raise ValueError(f"dendrogram file: bad line {lineno}: {line!r}") from None
+    if n_leaves is None or len(names) < n_leaves:
+        raise ValueError("dendrogram file: missing n_leaves or leaf records")
+    return Dendrogram(n_leaves=n_leaves, merges=tuple(merges)), tuple(names)
 
 
 def write_labels_csv(node_names: Sequence[str], labels, path, column: str) -> None:

@@ -53,7 +53,7 @@ MAX_SIMULATED_NODES = 5_000
 def _whole(value, what: str) -> int:
     """value as an int, refusing the fraction that int() would drop."""
     number = int(value)
-    if number != value and not isinstance(value, str):
+    if number != value:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return number
 
@@ -63,6 +63,14 @@ def _array(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a JSON array, not {type(value).__name__}")
     return value
+
+
+def _number(value, what: str, kind: type = float):
+    """value as a float, or as an int for kind=int, if it is a JSON number;
+    a boolean or string is not read as one."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a JSON number, not {type(value).__name__}")
+    return _whole(value, what) if kind is int else float(value)
 
 
 @dataclass(frozen=True)
@@ -170,30 +178,32 @@ class BlockHawkesParams:
             raise ValueError(f"params file is not valid JSON: {exc}") from None
         try:
             params = cls(
-                n_nodes=_whole(payload["n_nodes"], "n_nodes"),
+                n_nodes=_number(payload["n_nodes"], "n_nodes", int),
                 block_probs=tuple(
-                    float(p) for p in _array(payload["block_probs"], "block_probs")
+                    _number(p, "block_probs")
+                    for p in _array(payload["block_probs"], "block_probs")
                 ),
-                horizon=float(payload["horizon"]),
+                horizon=_number(payload["horizon"], "horizon"),
                 baseline=tuple(
-                    tuple(float(x) for x in _array(row, "baseline row"))
+                    tuple(_number(x, "baseline") for x in _array(row, "baseline row"))
                     for row in _array(payload["baseline"], "baseline")
                 ),
                 excitations=tuple(
                     Excitation(
                         kind=str(e["kind"]),
-                        block_pair=_array(e["block_pair"], "block_pair"),
-                        alpha=float(e["alpha"]),
-                        beta=float(e["beta"]),
+                        block_pair=[_number(b, "block_pair", int)
+                                    for b in _array(e["block_pair"], "block_pair")],
+                        alpha=_number(e["alpha"], "alpha"),
+                        beta=_number(e["beta"], "beta"),
                     )
                     for e in _array(payload.get("excitations", []), "excitations")
                 ),
                 block_assignment=(
                     None if payload.get("block_assignment") is None else tuple(
-                        _whole(b, "block_assignment")
+                        _number(b, "block_assignment", int)
                         for b in _array(payload["block_assignment"], "block_assignment"))
                 ),
-                max_events=_whole(payload.get("max_events", 500_000), "max_events"),
+                max_events=_number(payload.get("max_events", 500_000), "max_events", int),
             )
         except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"params file is missing or malforms a field: {exc}") from None

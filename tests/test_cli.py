@@ -731,6 +731,24 @@ def test_simulate_rejects_nan_params(tmp_path, capsys, field, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("n_nodes", "20", "str"),
+    ("max_events", True, "bool"),
+    ("block_assignment", [True, False] * 10, "bool"),
+])
+def test_simulate_refuses_a_boolean_or_string_for_a_number(tmp_path, capsys, field,
+                                                          value, kind):
+    # these once loaded as 20 nodes, one event and the labels 1 and 0
+    payload = json.loads(scenario_params(1).to_json())
+    payload[field] = value
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps(payload))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be a JSON number, not {kind}\n"
+    assert not out.exists()
+
+
 def test_params_file_may_start_with_a_byte_order_mark(tmp_path):
     pfile = tmp_path / "params.json"
     pfile.write_text("\ufeff" + scenario_params(1).to_json(), encoding="utf-8")
@@ -781,6 +799,33 @@ def test_unicode_line_separator_name_survives_the_pipeline(tmp_path):
                  "--dendrogram", str(kdir / "dendrogram.txt"), "--k", "2",
                  "--node", name, "--out", str(rdir)]) == 0
     assert (rdir / "dendrogram.svg").exists()
+
+
+def test_names_with_trailing_or_odd_whitespace_survive_the_pipeline(tmp_path):
+    # the dendrogram reader once stripped "x " to "x" and refused an empty name
+    names = ["", "x ", "y\t", "z\x0c", "w\u2028"]
+    motif = next(m for m in catalog.MOTIFS if m.n_positions == 3)
+    first = catalog.CSV_COLUMNS.index(f"{motif.short}_p1")
+    # each live position of a motif sums to the same total over the nodes
+    cells = [(1, 1, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 2, 2)]
+    counts = tmp_path / "counts.csv"
+    with open(counts, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("node",) + catalog.CSV_COLUMNS)
+        for name, row in zip(names, cells):
+            values = [0] * len(catalog.CSV_COLUMNS)
+            values[first:first + 3] = row
+            writer.writerow([name] + values)
+    pdir, kdir, rdir = tmp_path / "p", tmp_path / "k", tmp_path / "r"
+    assert main(["profile", "--counts", str(counts), "--out", str(pdir)]) == 0
+    assert main(["cluster", "--profiles", str(pdir / "profiles.csv"), "--k", "2",
+                 "--out", str(kdir)]) == 0
+    argv = ["render", "--profiles", str(pdir / "profiles.csv"),
+            "--dendrogram", str(kdir / "dendrogram.txt"), "--k", "2", "--out", str(rdir)]
+    for name in names:
+        argv += ["--node", name]
+    assert main(argv) == 0
+    assert len(list(rdir.glob("node_*.svg"))) == len(names)
 
 
 def test_line_feed_name_is_rejected_by_cluster(tmp_path, capsys):

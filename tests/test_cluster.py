@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 import sys
 import threading
 import time
@@ -521,6 +522,54 @@ def test_parse_dendrogram_rejects_a_nan_height():
     with pytest.raises(ValueError, match="NaN"):
         parse_dendrogram("n_leaves 3\nleaf 0 A\nleaf 1 B\nleaf 2 C\n"
                          "merge 0 1 nan 2\nmerge 2 3 1.0 3\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.text(st.characters(exclude_characters="\n\r")), min_size=2, max_size=30))
+@example(0, ["", "x ", "# y", "z\x0c", "w\x85 ", "v\u2028"])
+def test_parse_dendrogram_inverts_serialize(seed, names):
+    n = len(names)
+    rng = np.random.default_rng(seed)
+    shape = random_dendrogram(rng, n)
+    heights = np.sort(rng.exponential(size=n - 1)).tolist()
+    d = Dendrogram(n, tuple(
+        Merge(m.left, m.right, h, m.size) for m, h in zip(shape.merges, heights)))
+    text = serialize_dendrogram(d, names)
+    assert parse_dendrogram(text) == (d, tuple(names))
+    assert parse_dendrogram(text.replace("\n", "\r\n")) == (d, tuple(names))
+
+
+def test_parse_dendrogram_does_not_size_anything_from_the_header():
+    # the header alone once sized a 10**10-element list
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="^dendrogram file: missing n_leaves or leaf"):
+            parse_dendrogram("n_leaves 10000000000\nleaf 0 a\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("text, lineno, line", [
+    ("n_leaves 2\nleaf 0 a\nleaf 0 b\nleaf 1 c\nmerge 0 1 1.0 2\n", 3, "leaf 0 b"),
+    ("n_leaves 2\nn_leaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 1.0 2\n", 2, "n_leaves 2"),
+    ("n_leaves 2\nleaf 1 b\nleaf 0 a\nmerge 0 1 1.0 2\n", 2, "leaf 1 b"),
+    ("n_leaves 3\nleaf 0 a\nleaf 2 c\nmerge 0 1 1.0 2\nmerge 2 3 2.0 3\n", 3, "leaf 2 c"),
+    ("leaf 0 a\nn_leaves 2\nleaf 1 b\nmerge 0 1 1.0 2\n", 1, "leaf 0 a"),
+    ("n_leaves 2\nleaf 0 a\nmerge 0 1 1.0 2\nleaf 1 b\n", 3, "merge 0 1 1.0 2"),
+    ("n_leaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 1.0 2\nleaf 1 c\n", 5, "leaf 1 c"),
+    ("# c\n\nn_leaves 2\nleaf 0 a\nleaf 1\nmerge 0 1 1.0 2\n", 5, "leaf 1"),
+    ("n_leaves 2\nleaf 0 a\nleaf 1 b\nmerge 0 1 1.0 2 \n", 4, "merge 0 1 1.0 2 "),
+])
+def test_parse_dendrogram_refuses_a_record_out_of_order(text, lineno, line):
+    # a repeated leaf record once replaced the name read before it
+    with pytest.raises(ValueError, match=f"^dendrogram file: bad line {lineno}: "
+                                         f"{re.escape(repr(line))}$"):
+        parse_dendrogram(text)
 
 
 def test_labels_csv_round_trip(tmp_path):

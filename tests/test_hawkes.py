@@ -214,6 +214,30 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field}( row)? must be a JSON array, not "):
             BlockHawkesParams.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("value", [bool, str])
+    @pytest.mark.parametrize("field", ["n_nodes", "block_probs", "horizon", "baseline",
+                                       "alpha", "beta", "block_pair", "block_assignment",
+                                       "max_events"])
+    def test_from_json_requires_json_numbers(self, field, value):
+        # json.loads gives True for `true`, which int() and float() read as 1,
+        # and int("20") is 20: an assignment of booleans once loaded as labels
+        payload = json.loads(scenario_params(1).to_json())
+        payload["block_assignment"] = [i % 2 for i in range(payload["n_nodes"])]
+        payload["max_events"] = 1000
+        excitation = payload["excitations"][0]
+        holder, key = {
+            "alpha": (excitation, "alpha"),
+            "beta": (excitation, "beta"),
+            "block_pair": (excitation["block_pair"], 0),
+            "baseline": (payload["baseline"][0], 0),
+            "block_probs": (payload["block_probs"], 0),
+            "block_assignment": (payload["block_assignment"], 0),
+        }.get(field, (payload, field))
+        holder[key] = value(holder[key])
+        with pytest.raises(ValueError, match=(
+                f"^{field} must be a JSON number, not {value.__name__}$")):
+            BlockHawkesParams.from_json(json.dumps(payload))
+
     def test_from_json_reads_only_a_missing_or_null_assignment_as_absent(self):
         payload = json.loads(scenario_params(1).to_json())
         assert payload["block_assignment"] is None
