@@ -33,14 +33,13 @@ from .counting import (
     count_motifs,
     read_count_csv,
 )
-from .evaluation import EvalSummary, RunResult, evaluate_run, evaluate_scenario
 from .graph import (
     TemporalEdge,
     TemporalGraph,
+    edge_list_text,
     filter_nodes,
     largest_scc,
     parse_edge_list,
-    write_edge_list,
 )
 from .hawkes import (
     BlockHawkesParams,
@@ -51,7 +50,6 @@ from .hawkes import (
     scenario_delta,
     scenario_params,
     simulate,
-    write_params,
 )
 from .profiles import (
     ProfileMatrix,
@@ -87,6 +85,7 @@ __all__ = [
     "count_motifs",
     "cut",
     "dendrogram_svg",
+    "edge_list_text",
     "evaluate_run",
     "evaluate_scenario",
     "filter_nodes",
@@ -107,6 +106,14 @@ __all__ = [
     "signature_of",
     "simulate",
     "ward_linkage",
-    "write_edge_list",
-    "write_params",
 ]
+
+
+def __getattr__(name):
+    # evaluation loads multiprocessing, which only `eval` needs, so it is
+    # imported on first use
+    if name in ("EvalSummary", "RunResult", "evaluate_run", "evaluate_scenario"):
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

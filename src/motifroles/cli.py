@@ -1,21 +1,23 @@
 """Command-line pipeline: count, profile, cluster, render, simulate, eval.
 
-Every subcommand only computes. It returns the files of its run, as a
-dict from file name to a writer taking a path, its config, its input
-paths and the text it prints. `main` alone then creates --out, runs the
-writers, writes a manifest.json with the digests of exactly those files
-and prints the text. So a run that fails leaves no directory behind, no
-command writes outside --out, and a manifest never lists a file that an
-earlier run left in --out. Input values are checked once, by the
-library. Runs are reproducible: identical configuration and inputs give
-byte-identical outputs. Exit codes: 0 success, 1 validation error, 2 I/O
-error.
+Every subcommand only computes. It gets the text of each input file from
+`main`, which reads the file once and digests the bytes it read, and it
+returns the files of its run as a dict from file name to text, its config
+and the text it prints. `main` alone then creates --out, writes each file
+as UTF-8 bytes, writes a manifest.json with the digests of exactly the
+bytes read and written and prints the text. So a run that fails leaves no
+directory behind, no command writes outside --out, and a manifest never
+lists a file that an earlier run left in --out. Input values are checked
+once, by the library. Runs are reproducible: identical configuration and
+inputs give byte-identical outputs. Exit codes: 0 success, 1 validation
+error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import urllib.parse
@@ -25,21 +27,14 @@ from . import __version__, catalog
 from .cluster import (
     cut,
     centroids,
+    labels_csv_text,
     parse_dendrogram,
     serialize_dendrogram,
     ward_linkage,
-    write_labels_csv,
 )
 from .counting import count_motifs, read_count_csv
-from .evaluation import evaluate_scenario
-from .graph import filter_nodes, largest_scc, parse_edge_list, write_edge_list
-from .hawkes import (
-    read_params,
-    scenario_delta,
-    scenario_params,
-    simulate,
-    write_params,
-)
+from .graph import edge_list_text, filter_nodes, largest_scc, parse_edge_list
+from .hawkes import BlockHawkesParams, scenario_delta, scenario_params, simulate
 from .profiles import build_positioned, build_positionless, read_profile_csv
 from .render import dendrogram_svg, heatmap_svg
 
@@ -50,36 +45,8 @@ _TIE_FLAG = {"seq": "seq-order", "exclude": "exclude-ties"}
 MAX_CANDIDATES = 10**8
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict,
-                    outputs) -> None:
-    manifest = {
-        "tool": "motifroles",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": {name: _sha256(Path(path)) for name, path in inputs.items()},
-        "outputs": {name: _sha256(out_dir / name) for name in outputs},
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _text(content: str):
-    """A writer of `content` as UTF-8 text."""
-    return lambda path: path.write_text(content, encoding="utf-8")
-
-
-def _cmd_count(args):
-    graph = parse_edge_list(args.input)
+def _cmd_count(args, read):
+    graph = parse_edge_list(io.StringIO(read("edges", args.input), newline=""))
     scc_kept = None
     if args.scc:
         component = largest_scc(graph)
@@ -87,8 +54,8 @@ def _cmd_count(args):
         graph = filter_nodes(graph, component)
     counts = count_motifs(graph, args.delta, _TIE_FLAG[args.ties],
                           max_candidates=args.max_candidates)
-    files = {"counts.csv": counts.write_csv,
-             "motif_totals.csv": counts.write_motif_totals_csv}
+    files = {"counts.csv": counts.csv_text(),
+             "motif_totals.csv": counts.motif_totals_csv_text()}
     config = {
         "input": args.input,
         "delta": args.delta,
@@ -109,23 +76,27 @@ def _cmd_count(args):
         "      " + "".join(f"c{c + 1:<9}" for c in range(6)),
         *(f"  r{r + 1}  " + "".join(f"{int(v):<10}" for v in grid[r]) for r in range(6)),
     ]
-    return files, config, {"edges": args.input}, "\n".join(lines) + "\n"
+    return files, config, "\n".join(lines) + "\n"
 
 
-def _cmd_profile(args):
-    counts = read_count_csv(args.counts)
+def _cmd_profile(args, read):
+    counts = read_count_csv(io.StringIO(read("counts", args.counts), newline=""))
     builder = build_positionless if args.positionless else build_positioned
     prof = builder(counts, min_motifs=args.min_motifs)
     if prof.n_profiled == 0:
         raise ValueError("no node passes the participation filter")
-    files = {"profiles.csv": prof.write_csv, "dropped.csv": prof.write_dropped_csv}
+    files = {"profiles.csv": prof.csv_text(), "dropped.csv": prof.dropped_csv_text()}
     config = {"counts": args.counts, "min_motifs": args.min_motifs, "kind": prof.kind}
     text = f"profiled {prof.n_profiled} nodes ({prof.kind}); dropped {len(prof.dropped)}\n"
-    return files, config, {"counts": args.counts}, text
+    return files, config, text
 
 
-def _cmd_cluster(args):
-    prof = read_profile_csv(args.profiles)
+def _read_profiles(args, read):
+    return read_profile_csv(io.StringIO(read("profiles", args.profiles), newline=""))
+
+
+def _cmd_cluster(args, read):
+    prof = _read_profiles(args, read)
     if args.k < 1 or args.k > max(prof.n_profiled, 1):
         raise ValueError(
             f"--k must be in 1..{prof.n_profiled} for {prof.n_profiled} profiled nodes"
@@ -133,37 +104,31 @@ def _cmd_cluster(args):
     dendro = ward_linkage(prof)
     clustering = cut(dendro, args.k)
     files = {
-        "dendrogram.txt": _text(serialize_dendrogram(dendro, prof.node_names)),
-        "clusters.csv": lambda path: write_labels_csv(
-            prof.node_names, clustering, path, "cluster"
-        ),
+        "dendrogram.txt": serialize_dendrogram(dendro, prof.node_names),
+        "clusters.csv": labels_csv_text(prof.node_names, clustering, "cluster"),
     }
     config = {"profiles": args.profiles, "k": args.k, "kind": prof.kind}
     sizes = ", ".join(str(int(s)) for s in clustering.sizes())
     text = f"cut {prof.n_profiled} profiles into k={args.k} clusters (sizes {sizes})\n"
-    return files, config, {"profiles": args.profiles}, text
+    return files, config, text
 
 
-def _cmd_render(args):
+def _cmd_render(args, read):
     if args.k is not None and not args.dendrogram:
         raise ValueError("--k needs --dendrogram: it sets the dendrogram's cut")
-    prof = read_profile_csv(args.profiles)
-    inputs = {"profiles": args.profiles}
+    prof = _read_profiles(args, read)
     files = {}
     if args.dendrogram:
-        dendro, names = parse_dendrogram(
-            Path(args.dendrogram).read_text(encoding="utf-8-sig")
-        )
+        dendro, names = parse_dendrogram(read("dendrogram", args.dendrogram))
         if names != prof.node_names:
             raise ValueError("dendrogram and profile files cover different nodes")
         k = args.k if args.k is not None else 1
-        files["dendrogram.svg"] = _text(dendrogram_svg(dendro, names, k_highlight=k))
+        files["dendrogram.svg"] = dendrogram_svg(dendro, names, k_highlight=k)
         means = centroids(prof, cut(dendro, k))
         for c in range(k):
-            files[f"centroid_{c}.svg"] = _text(heatmap_svg(
+            files[f"centroid_{c}.svg"] = heatmap_svg(
                 means[c], prof.kind, f"cluster {c} centroid ({prof.kind})"
-            ))
-        inputs["dendrogram"] = args.dendrogram
+            )
     for name in args.node or []:
         if name not in prof.node_names:
             raise ValueError(f"node {name!r} is not in the profile file")
@@ -174,9 +139,9 @@ def _cmd_render(args):
                 f"node {name!r} needs a {len(fname)}-byte file name; "
                 "the limit is 255 bytes"
             )
-        files[fname] = _text(heatmap_svg(
+        files[fname] = heatmap_svg(
             prof.vectors[row], prof.kind, f"node {name} ({prof.kind})"
-        ))
+        )
     if not files:
         raise ValueError("nothing to render: pass --dendrogram and/or --node")
     config = {
@@ -185,26 +150,24 @@ def _cmd_render(args):
         "k": args.k,
         "nodes": list(args.node or []),
     }
-    return files, config, inputs, f"wrote {len(files)} SVG file(s) to {Path(args.out)}\n"
+    return files, config, f"wrote {len(files)} SVG file(s) to {Path(args.out)}\n"
 
 
-def _load_scenario(args):
+def _load_scenario(args, read):
     if (args.scenario is None) == (args.params is None):
         raise ValueError("pass exactly one of --scenario or --params")
     if args.scenario is not None:
         return scenario_params(args.scenario), f"scenario {args.scenario}"
-    return read_params(args.params), args.params
+    return BlockHawkesParams.from_json(read("params", args.params)), args.params
 
 
-def _cmd_simulate(args):
-    params, source = _load_scenario(args)
+def _cmd_simulate(args, read):
+    params, source = _load_scenario(args, read)
     net = simulate(params, args.seed)
     files = {
-        "edges.csv": lambda path: write_edge_list(net.graph, path),
-        "labels.csv": lambda path: write_labels_csv(
-            net.graph.node_names, net.labels, path, "block"
-        ),
-        "params.json": lambda path: write_params(params, path),
+        "edges.csv": edge_list_text(net.graph),
+        "labels.csv": labels_csv_text(net.graph.node_names, net.labels, "block"),
+        "params.json": params.to_json(),
     }
     config = {
         "source": source,
@@ -215,16 +178,17 @@ def _cmd_simulate(args):
         "candidates": net.candidates,
         "stability_margin": params.stability_margin(),
     }
-    inputs = {} if args.params is None else {"params": args.params}
     text = (
         f"simulated {net.graph.n_edges} events ({net.candidates} candidates) "
         f"on {params.n_nodes} nodes (seed {args.seed})\n"
     )
-    return files, config, inputs, text
+    return files, config, text
 
 
-def _cmd_eval(args):
-    params, source = _load_scenario(args)
+def _cmd_eval(args, read):
+    from .evaluation import evaluate_scenario  # loads multiprocessing: eval only
+
+    params, source = _load_scenario(args, read)
     delta = args.delta
     if delta is None:
         if args.scenario is None:
@@ -234,7 +198,7 @@ def _cmd_eval(args):
     summary = evaluate_scenario(
         params, delta, seeds, k=args.k, min_motifs=args.min_motifs
     )
-    files = {"runs.csv": summary.write_runs_csv, "summary.csv": _text(summary.report())}
+    files = {"runs.csv": summary.runs_csv_text(), "summary.csv": summary.report()}
     config = {
         "source": source,
         "delta": summary.delta,
@@ -245,15 +209,14 @@ def _cmd_eval(args):
         "events": sum(r.n_events for r in summary.runs),
         "candidates": sum(r.candidates for r in summary.runs),
     }
-    inputs = {} if args.params is None else {"params": args.params}
-    return files, config, inputs, summary.report() + summary.gate_diagnostics() + "\n"
+    return files, config, summary.report() + summary.gate_diagnostics() + "\n"
 
 
-def _cmd_catalog(args):
+def _cmd_catalog(args, read):
     text = catalog.catalog_table_csv()
     if args.out is None:
-        return {}, {}, {}, text
-    return ({"catalog.csv": _text(text)}, {}, {},
+        return {}, {}, text
+    return ({"catalog.csv": text}, {},
             f"wrote catalog table to {Path(args.out) / 'catalog.csv'}\n")
 
 
@@ -329,14 +292,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    inputs = {}  # input name -> digest of the bytes read
+
+    def read(name: str, path: str) -> str:
+        """The text of input file `path`, less a leading byte-order mark;
+        the digest of the bytes read goes into the manifest as `name`."""
+        data = Path(path).read_bytes()
+        inputs[name] = hashlib.sha256(data).hexdigest()
+        try:
+            return data.decode("utf-8").removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{name} file {path}: not UTF-8 at byte offset "
+                             f"{exc.start} ({exc.reason})") from None
+
     try:
-        files, config, inputs, text = args.func(args)
+        files, config, text = args.func(args, read)
         if args.out is not None:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            for name, write in files.items():
-                write(out / name)
-            _write_manifest(out, args.command, config, inputs, files)
+            outputs = {}
+            for name, content in files.items():
+                data = content.encode("utf-8")
+                (out / name).write_bytes(data)
+                outputs[name] = hashlib.sha256(data).hexdigest()
+            manifest = {"tool": "motifroles", "version": __version__,
+                        "command": args.command, "config": config,
+                        "inputs": inputs, "outputs": outputs}
+            (out / "manifest.json").write_bytes(
+                (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
         print(text, end="")
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

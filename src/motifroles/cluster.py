@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .table import write_node_table
+from .table import node_table_text
 
 _HEIGHT_SLACK = 1e-9  # relative tolerance for the monotonicity check
 # Ward's distance matrix takes 8 n^2 bytes: 3.2 GB at this many leaves.
@@ -404,8 +404,9 @@ def parse_dendrogram(text: str) -> tuple[Dendrogram, tuple[str, ...]]:
     return Dendrogram(n_leaves=n_leaves, merges=tuple(merges)), tuple(names)
 
 
-def write_labels_csv(node_names: Sequence[str], labels, path, column: str) -> None:
+def labels_csv_text(node_names: Sequence[str], labels, column: str) -> str:
+    """A table of each node's label under the header `node,{column}`."""
     arr = _as_labels(labels)
     if len(node_names) != arr.shape[0]:
         raise ValueError("name count does not match label count")
-    write_node_table(path, ("node", column), node_names, arr[:, None])
+    return node_table_text(("node", column), node_names, arr[:, None])

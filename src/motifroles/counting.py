@@ -39,7 +39,7 @@ import numpy as np
 from . import catalog
 from .catalog import MotifId
 from .graph import TemporalEdge, TemporalGraph
-from .table import read_table, write_node_table, write_table
+from .table import node_table_text, read_table, table_text
 
 TIE_POLICIES = ("seq-order", "exclude-ties")
 
@@ -105,13 +105,15 @@ class PositionCountMatrix:
     def total_instances(self) -> int:
         return int(self.motif_totals.sum())
 
-    def write_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """The counts table, `counts.csv`."""
         flat = self.counts.reshape(self.n_nodes, catalog.N_CSV_CELLS)
-        write_node_table(path, ("node",) + catalog.CSV_COLUMNS, self.node_names, flat)
+        return node_table_text(("node",) + catalog.CSV_COLUMNS, self.node_names, flat)
 
-    def write_motif_totals_csv(self, path) -> None:
+    def motif_totals_csv_text(self) -> str:
+        """The instances of each motif, `motif_totals.csv`."""
         rows = zip((m.short for m in catalog.MOTIFS), self.motif_totals.tolist())
-        write_table(path, ("motif", "instances"), rows)
+        return table_text(("motif", "instances"), rows)
 
 
 def _count_cell(text: str) -> int:
@@ -122,7 +124,7 @@ def _count_cell(text: str) -> int:
 
 
 def read_count_csv(source) -> PositionCountMatrix:
-    """Load a counts CSV produced by PositionCountMatrix.write_csv. Each
+    """Load a counts CSV produced by PositionCountMatrix.csv_text. Each
     instance fills each position of its motif once, so all live positions
     of a motif must sum to the same total."""
     _, names, rows = read_table(

@@ -16,7 +16,7 @@ from .cluster import centroids, cut, permutation_accuracy, usable_cpus, ward_lin
 from .counting import count_motifs
 from .hawkes import BlockHawkesParams, simulate
 from .profiles import build_positioned, build_positionless
-from .table import table_text, write_table
+from .table import table_text
 
 # Positioned profile cells of the two-node motifs M5,1 M5,2 M6,1 M6,2, and
 # the reply cells whose position-1 and position-2 halves tell the sender
@@ -85,7 +85,8 @@ class EvalSummary:
                 f"{sum(masses) / len(masses):.4f}; "
                 f"position_split {split}/{self.n_runs}")
 
-    def write_runs_csv(self, path) -> None:
+    def runs_csv_text(self) -> str:
+        """One row per run, `runs.csv`."""
         header = ("seed", "events", "profiled", "accuracy_positioned",
                   "accuracy_positionless", "two_node_mass_min", "position_split")
         rows = (
@@ -93,7 +94,7 @@ class EvalSummary:
              r.accuracy_positionless, min(r.two_node_mass), int(r.split_ok))
             for r in self.runs
         )
-        write_table(path, header, rows)
+        return table_text(header, rows)
 
 
 def evaluate_run(

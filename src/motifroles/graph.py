@@ -10,7 +10,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .table import write_table
+from .table import table_text
 
 EDGE_LIST_HEADER = ("source", "target", "timestamp")
 
@@ -189,8 +189,9 @@ def parse_edge_list(source) -> TemporalGraph:
     return TemporalGraph(tuple(names), src, tgt, time)
 
 
-def write_edge_list(g: TemporalGraph, path) -> None:
-    write_table(path, EDGE_LIST_HEADER, g.named_edges())
+def edge_list_text(g: TemporalGraph) -> str:
+    """The edge list as CSV text that parse_edge_list reads back."""
+    return table_text(EDGE_LIST_HEADER, g.named_edges())
 
 
 def largest_scc(g: TemporalGraph) -> frozenset[int]:

@@ -51,8 +51,12 @@ MAX_SIMULATED_NODES = 5_000
 
 
 def _whole(value, what: str) -> int:
-    """value as an int, refusing the fraction that int() would drop."""
-    number = int(value)
+    """value as an int, refusing NaN, an infinity and the fraction that
+    int() would drop."""
+    try:
+        number = int(value)
+    except (ValueError, OverflowError):  # NaN, an infinity or a non-number
+        number = None
     if number != value:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return number
@@ -209,10 +213,6 @@ class BlockHawkesParams:
             raise ValueError(f"params file is missing or malforms a field: {exc}") from None
         params.validate()
         return params
-
-
-def write_params(params: BlockHawkesParams, path) -> None:
-    Path(path).write_text(params.to_json(), encoding="utf-8")
 
 
 def read_params(path) -> BlockHawkesParams:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import catalog
 from .counting import PositionCountMatrix
-from .table import read_table, write_node_table
+from .table import node_table_text, read_table
 
 PROFILE_KINDS = ("positioned", "positionless")
 
@@ -58,7 +58,8 @@ class ProfileMatrix:
             raise KeyError(f"no {self.kind} column {column!r}")
         return float(self.vectors[self.node_names.index(name), cols.index(column)])
 
-    def write_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """The profile table, `profiles.csv`."""
         if self.kind == "positioned":
             header = ("node",) + catalog.CSV_COLUMNS
             wide = np.zeros((self.n_profiled, catalog.N_CSV_CELLS))
@@ -66,12 +67,13 @@ class ProfileMatrix:
         else:
             header = ("node",) + catalog.MOTIF_COLUMNS
             wide = self.vectors
-        write_node_table(path, header, self.node_names, wide)
+        return node_table_text(header, self.node_names, wide)
 
-    def write_dropped_csv(self, path) -> None:
+    def dropped_csv_text(self) -> str:
+        """The dropped nodes and their participation, `dropped.csv`."""
         names = [name for name, _ in self.dropped]
         totals = np.array([total for _, total in self.dropped], dtype=np.int64)
-        write_node_table(path, ("node", "total_participation"), names, totals[:, None])
+        return node_table_text(("node", "total_participation"), names, totals[:, None])
 
 
 def _build(counts: PositionCountMatrix, min_motifs: int, kind: str) -> ProfileMatrix:

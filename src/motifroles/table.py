@@ -33,10 +33,6 @@ def table_text(header, rows) -> str:
     return _csv_text(rows, csv.QUOTE_NONNUMERIC) if "\r" in text else text
 
 
-def write_table(path, header, rows) -> None:
-    Path(path).write_text(table_text(header, rows), encoding="utf-8")
-
-
 class _Echo:
     """A file whose write returns the text, so a csv writer's writerow
     returns the row's CSV text."""
@@ -62,10 +58,6 @@ def node_table_text(header, names, values: np.ndarray) -> str:
     lines += [row((name, 0))[:-3] + "," + ",".join(rest) + "\n"  # drop ",0\n"
               for name, rest in zip(names, cells)]
     return "".join(lines)
-
-
-def write_node_table(path, header, names, values: np.ndarray) -> None:
-    Path(path).write_text(node_table_text(header, names, values), encoding="utf-8")
 
 
 def read_table(source, what: str, headers, cell):

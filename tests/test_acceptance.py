@@ -2,18 +2,24 @@
 pass/fail line under `pytest -v`. The heavy fixtures (100-seed studies)
 are shared between the accuracy and centroid-structure checks."""
 
+import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import motifroles
 from motifroles.cli import main
 from motifroles.cluster import permutation_accuracy, ward_linkage
 from motifroles.counting import brute_force_count, count_motifs
 from motifroles.evaluation import evaluate_scenario
-from motifroles.graph import TemporalGraph, write_edge_list
+from motifroles.graph import TemporalGraph, edge_list_text
 from motifroles.hawkes import (
     BlockHawkesParams,
     SCENARIO_DELTAS,
@@ -210,32 +216,33 @@ def test_criterion_6_degenerate_hawkes_is_poisson(tmp_path):
 
     # same-seed determinism down to bytes
     s1 = scenario_params(1)
-    paths = []
-    for run in ("one", "two"):
-        net = simulate(s1, seed=0)
-        path = tmp_path / f"{run}.csv"
-        write_edge_list(net.graph, path)
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    texts = [edge_list_text(simulate(s1, seed=0).graph) for _ in ("one", "two")]
+    assert texts[0] == texts[1]
     print(f"[criterion 6] PASS: mean {mean:.3f}, variance {var:.3f}, "
           f"GOF p={gof.pvalue:.3f} over 2000 fixed seeds; byte-identical reruns")
 
 
-def test_criterion_7_mid_scale_pipeline(tmp_path):
+# criterion 7's chain, run from the directory that holds its edges.csv
+CRITERION_7_CHAIN = [
+    ["count", "--input", "edges.csv", "--delta", "7", "--scc", "--out", "c"],
+    ["profile", "--counts", "c/counts.csv", "--min-motifs", "10", "--out", "p"],
+    ["cluster", "--profiles", "p/profiles.csv", "--k", "10", "--out", "k"],
+    ["render", "--profiles", "p/profiles.csv", "--dendrogram", "k/dendrogram.txt",
+     "--k", "10", "--out", "r"],
+]
+
+
+def _criterion_7_edges() -> str:
+    return edge_list_text(mid_scale_network(seed=0, n_nodes=156, n_edges=5000))
+
+
+def test_criterion_7_mid_scale_pipeline(tmp_path, monkeypatch):
     t0 = time.perf_counter()
-    g = mid_scale_network(seed=0, n_nodes=156, n_edges=5000)
-    edges = tmp_path / "edges.csv"
-    write_edge_list(g, edges)
+    (tmp_path / "edges.csv").write_text(_criterion_7_edges(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in CRITERION_7_CHAIN:
+        assert main(argv) == 0, argv
     cdir, pdir, kdir, rdir = (tmp_path / s for s in "cpkr")
-    assert main(["count", "--input", str(edges), "--delta", "7",
-                 "--scc", "--out", str(cdir)]) == 0
-    assert main(["profile", "--counts", str(cdir / "counts.csv"),
-                 "--min-motifs", "10", "--out", str(pdir)]) == 0
-    assert main(["cluster", "--profiles", str(pdir / "profiles.csv"),
-                 "--k", "10", "--out", str(kdir)]) == 0
-    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
-                 "--dendrogram", str(kdir / "dendrogram.txt"),
-                 "--k", "10", "--out", str(rdir)]) == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
 
@@ -249,6 +256,39 @@ def test_criterion_7_mid_scale_pipeline(tmp_path):
         ET.fromstring((rdir / svg).read_text())
     clusters = (kdir / "clusters.csv").read_text().strip().splitlines()
     assert len(clusters) > 100  # most of the 156 nodes survive the filters
-    print(f"[criterion 7] PASS: 156-node / {g.n_edges}-edge pipeline "
+    print(f"[criterion 7] PASS: 156-node / 5000-edge pipeline "
           f"(count -> profile -> cluster -> render) in {elapsed:.1f}s, "
           f"{len(svgs)} valid SVGs, manifests complete")
+
+
+def test_criterion_7_chain_writes_the_same_bytes_under_python_dash_o(tmp_path):
+    # -O strips assert statements, so no check may rest on one; both runs
+    # use the same relative paths, so their manifests must match too
+    code = """
+import json, sys
+print(__debug__)
+from motifroles.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+    src = Path(motifroles.__file__).resolve().parents[1]
+    edges = _criterion_7_edges()
+    runs = []
+    for flags in ([], ["-O"]):
+        run = tmp_path / ("optimized" if flags else "plain")
+        run.mkdir()
+        (run / "edges.csv").write_text(edges, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code, json.dumps(CRITERION_7_CHAIN)],
+            cwd=run, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        files = {p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        runs.append((result.stdout.splitlines(), files))
+    (plain_out, plain), (opt_out, opt) = runs
+    assert (plain_out[0], opt_out[0]) == ("True", "False")
+    assert plain_out[1:] == opt_out[1:]
+    assert len(plain) == 22 and plain.keys() == opt.keys()  # edges.csv and 21 written
+    assert [name for name in plain if plain[name] != opt[name]] == []

@@ -23,7 +23,6 @@ from motifroles.hawkes import (
     BlockHawkesParams,
     read_params,
     scenario_params,
-    write_params,
 )
 from motifroles.profiles import ProfileMatrix
 from conftest import TOY_EDGES, check_manifest
@@ -329,6 +328,46 @@ def test_no_module_imports_another_modules_private_name():
     assert found == []
 
 
+def test_only_the_cli_writes_files():
+    # the library returns text; main alone writes it, so a manifest digests
+    # the very bytes that were written
+    package = Path(motifroles.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            mode = [k.value for k in node.keywords if k.arg == "mode"]
+            if name == "open":  # open(file, mode) or path.open(mode)
+                mode += node.args[1 if isinstance(func, ast.Name) else 0:][:1]
+            writes = name == "open" and any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                for m in mode)
+            if name in ("write_text", "write_bytes") or writes:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_importing_the_cli_leaves_evaluation_unloaded():
+    # evaluation loads multiprocessing and concurrent.futures.process, which
+    # only `eval` uses
+    src = Path(motifroles.__file__).resolve().parents[1]
+    code = ("import sys, motifroles.cli\n"
+            "print([m for m in ('motifroles.evaluation', 'multiprocessing',\n"
+            "                   'concurrent.futures.process') if m in sys.modules])")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def test_render_rejects_a_nan_merge_height(tmp_path, toy_csv, capsys):
     _, pdir, kdir = run_pipeline(tmp_path, toy_csv, k=2)
     text = (kdir / "dendrogram.txt").read_text(encoding="utf-8")
@@ -485,7 +524,7 @@ def test_simulate_and_eval_refuse_more_nodes_than_the_limit(tmp_path, capsys):
     params = BlockHawkesParams(
         n_nodes=n, block_probs=(1.0,), horizon=1.0, baseline=((0.1,),))
     pfile = tmp_path / "big.json"
-    write_params(params, pfile)
+    pfile.write_text(params.to_json(), encoding="utf-8")
     message = (f"simulating 1000000 nodes needs n*n rate arrays of {8 * n * n} bytes "
                "each, above the limit of 5000 nodes")
     out = tmp_path / "sim"
@@ -672,7 +711,7 @@ def sparse_count_profiles(n_rows, seed, draws=5, copies=0):
 def test_cluster_dendrograms_are_pinned(tmp_path, toy_csv):
     *_, kdir = run_pipeline(tmp_path / "toy", toy_csv)
     pfile = tmp_path / "profiles.csv"
-    sparse_count_profiles(700, seed=5).write_csv(pfile)
+    pfile.write_text(sparse_count_profiles(700, seed=5).csv_text(), encoding="utf-8")
     wide = tmp_path / "wide"
     assert main(["cluster", "--profiles", str(pfile), "--k", "4",
                  "--out", str(wide)]) == 0
@@ -695,7 +734,8 @@ def test_cluster_dendrograms_of_csv_profiles_are_pinned(tmp_path, n_rows, seed, 
     # read_profile_csv returns column-major vectors, whose einsum rounding
     # the in-memory test references never see; these pins guard it
     pfile = tmp_path / "profiles.csv"
-    sparse_count_profiles(n_rows, seed, draws, copies).write_csv(pfile)
+    pfile.write_text(sparse_count_profiles(n_rows, seed, draws, copies).csv_text(),
+                     encoding="utf-8")
     assert main(["cluster", "--profiles", str(pfile), "--k", "4",
                  "--out", str(tmp_path / "out")]) == 0
     text = (tmp_path / "out" / "dendrogram.txt").read_bytes()
@@ -753,6 +793,9 @@ def test_params_file_may_start_with_a_byte_order_mark(tmp_path):
     pfile = tmp_path / "params.json"
     pfile.write_text("\ufeff" + scenario_params(1).to_json(), encoding="utf-8")
     assert read_params(pfile) == scenario_params(1)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 0
+    assert (out / "params.json").read_text(encoding="utf-8") == scenario_params(1).to_json()
 
 
 def test_catalog_to_stdout(capsys):
@@ -992,3 +1035,92 @@ def test_render_rejects_a_node_file_name_over_255_bytes(tmp_path, capsys):
     assert main(["render", "--profiles", str(pdir / "profiles.csv"),
                  "--node", name, "--out", str(out)]) == 0
     assert (out / f"node_{name}.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["count", "profile", "cluster", "render", "simulate"])
+def test_a_non_utf8_input_names_the_file_and_its_byte_offset(tmp_path, toy_csv, capsys,
+                                                             command):
+    # the offset counts from the start of the file, byte-order mark included,
+    # and lies past the first 8 KB that a streaming decoder reads at once
+    cdir, pdir, kdir = run_pipeline(tmp_path, toy_csv)
+    pfile = tmp_path / "params.json"
+    pfile.write_text(scenario_params(1).to_json(), encoding="utf-8")
+    valid = {"count": toy_csv, "profile": cdir / "counts.csv",
+             "cluster": pdir / "profiles.csv", "render": kdir / "dendrogram.txt",
+             "simulate": pfile}[command]
+    bad = tmp_path / f"bad_{valid.name}"
+    data = b"\xef\xbb\xbf" + valid.read_bytes() + b" " * 10_000
+    bad.write_bytes(data + b"\xff\n")
+    argv = {
+        "count": ["count", "--input", str(bad), "--delta", "10"],
+        "profile": ["profile", "--counts", str(bad)],
+        "cluster": ["cluster", "--profiles", str(bad), "--k", "2"],
+        "render": ["render", "--profiles", str(pdir / "profiles.csv"),
+                   "--dendrogram", str(bad)],
+        "simulate": ["simulate", "--params", str(bad)],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert f"not UTF-8 at byte offset {len(data)} " in err
+    assert not out.exists()
+
+
+def test_each_command_opens_each_input_file_once(tmp_path, toy_csv):
+    # the manifest digests the bytes that were parsed, so no input is read twice
+    cdir, pdir, kdir = run_pipeline(tmp_path, toy_csv, k=2)
+    pfile = tmp_path / "params.json"
+    pfile.write_text(scenario_params(2).to_json(), encoding="utf-8")
+    out = str(tmp_path / "out")
+    runs = [
+        ["count", "--input", str(toy_csv), "--delta", "10", "--out", out],
+        ["profile", "--counts", str(cdir / "counts.csv"), "--out", out],
+        ["cluster", "--profiles", str(pdir / "profiles.csv"), "--k", "2", "--out", out],
+        ["render", "--profiles", str(pdir / "profiles.csv"), "--node", "A",
+         "--dendrogram", str(kdir / "dendrogram.txt"), "--k", "2", "--out", out],
+        ["simulate", "--params", str(pfile), "--out", out],
+        ["eval", "--params", str(pfile), "--delta", "10", "--runs", "1",
+         "--min-motifs", "10", "--out", out],
+    ]
+    # an audit hook sees every open in the process; it cannot be removed,
+    # so it runs in a child
+    code = """
+import json, sys
+from motifroles.cli import main
+opened = []
+sys.addaudithook(lambda event, args: event == "open" and opened.append(str(args[0])))
+calls = []
+for argv in json.loads(sys.argv[1]):
+    opened.clear()
+    rc = main(argv)
+    calls.append([rc, opened.copy()])
+print(json.dumps(calls))
+"""
+    src = Path(motifroles.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    inputs_of = {"--input", "--counts", "--profiles", "--dendrogram", "--params"}
+    for argv, (rc, opened) in zip(runs, json.loads(result.stdout.splitlines()[-1])):
+        assert rc == 0, argv
+        inputs = [v for flag, v in zip(argv, argv[1:]) if flag in inputs_of]
+        assert inputs and sorted(p for p in opened if p in inputs) == sorted(inputs), argv
+
+
+def test_manifest_digests_the_input_bytes_the_run_read(tmp_path):
+    # simulate writes params.json over its own --params input; the manifest
+    # keeps the digest of what was read, not of what replaced it
+    out = tmp_path / "sim"
+    out.mkdir()
+    pfile = out / "params.json"
+    data = b"\xef\xbb\xbf" + scenario_params(1).to_json().encode("utf-8")
+    pfile.write_bytes(data)
+    assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 0
+    manifest = check_manifest(out, "simulate")
+    assert manifest["inputs"] == {"params": hashlib.sha256(data).hexdigest()}
+    assert pfile.read_bytes() == data[3:]

@@ -22,11 +22,11 @@ from motifroles.cluster import (
     _max_assignment,
     centroids,
     cut,
+    labels_csv_text,
     parse_dendrogram,
     permutation_accuracy,
     serialize_dendrogram,
     ward_linkage,
-    write_labels_csv,
 )
 from motifroles.table import read_table
 
@@ -360,27 +360,25 @@ def test_permutation_accuracy_accepts_flat_clustering():
     assert permutation_accuracy(flat, np.array([0, 0, 1, 1])) == 1.0
 
 
-def test_non_integer_labels_are_rejected(tmp_path):
+def test_non_integer_labels_are_rejected():
     # truncating would read these predictions as [0, 0, 1, 1] and score 0.5
     with pytest.raises(ValueError, match="labels must be integers"):
         permutation_accuracy([0.2, 0.7, 1.4, 1.9], [0, 1, 0, 1])
     for bad in ([0.0, np.nan, 1.0, 1.0], [0.0, np.inf, 1.0, 1.0], [0.0, 1e30, 1.0, 1.0]):
         with pytest.raises(ValueError, match="labels must be integers"):
             permutation_accuracy([0, 1, 0, 1], bad)
-    path = tmp_path / "labels.csv"
     with pytest.raises(ValueError, match="labels must be integers"):
-        write_labels_csv(["a", "b"], [0.5, 1.0], path, "cluster")
-    assert not path.exists()
+        labels_csv_text(["a", "b"], [0.5, 1.0], "cluster")
 
 
-def test_bool_integer_and_whole_float_labels_are_accepted(tmp_path):
+def test_bool_integer_and_whole_float_labels_are_accepted():
     truth = np.array([0, 0, 1, 1])
     assert permutation_accuracy(np.array([True, True, False, False]), truth) == 1.0
     assert permutation_accuracy(np.array([5, 5, 9, 9], dtype=np.uint8), truth) == 1.0
     assert permutation_accuracy([0.0, 1.0, 1.0, 1.0], truth) == 0.75
-    path = tmp_path / "labels.csv"
-    write_labels_csv(["a", "b"], np.array([True, False]), path, "cluster")
-    assert read_table(path, "labels CSV", [("node", "cluster")], int)[2] == [[1], [0]]
+    text = labels_csv_text(["a", "b"], np.array([True, False]), "cluster")
+    assert read_table(io.StringIO(text), "labels CSV", [("node", "cluster")], int)[2] == [
+        [1], [0]]
 
 
 @settings(max_examples=30, deadline=None)
@@ -574,7 +572,8 @@ def test_parse_dendrogram_refuses_a_record_out_of_order(text, lineno, line):
 
 def test_labels_csv_round_trip(tmp_path):
     path = tmp_path / "clusters.csv"
-    write_labels_csv(("A", "B", "C"), np.array([0, 1, 0]), path, "cluster")
+    path.write_text(labels_csv_text(("A", "B", "C"), np.array([0, 1, 0]), "cluster"),
+                    encoding="utf-8")
     _, names, rows = read_table(path, "labels CSV", [("node", "cluster")], int)
     assert names == ("A", "B", "C")
     assert rows == [[0], [1], [0]]

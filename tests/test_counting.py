@@ -1,10 +1,11 @@
+import csv
 import hashlib
 import io
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from motifroles import catalog, counting
@@ -16,7 +17,8 @@ from motifroles.counting import (
     count_motifs,
     read_count_csv,
 )
-from motifroles.graph import TemporalEdge, TemporalGraph
+from motifroles.graph import EDGE_LIST_HEADER, TemporalEdge, TemporalGraph, parse_edge_list
+from motifroles.table import table_text
 from conftest import TOY_DELTA, toy_expected_counts
 from synthdata import mid_scale_network, random_temporal_graph
 
@@ -235,6 +237,32 @@ def test_node_relabel_equivariance(seed):
         assert np.array_equal(a.counts[i], b.counts[j])
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_counts_csv_rows_follow_a_renamed_and_reordered_edge_file(seed):
+    # node indices follow first appearance in the file, so listing the edges
+    # in another order also moves the rows; without ties nothing else changes
+    rng = np.random.default_rng(seed)
+    g = random_temporal_graph(rng)
+    assume(len(set(g.time.tolist())) == g.n_edges)
+    rename = {name: f"x,{k}" for name, k in zip(g.node_names, rng.permutation(g.n_nodes))}
+    edges = list(g.named_edges())
+    shuffled = [edges[i] for i in rng.permutation(len(edges))]
+    renamed = [(rename[s], rename[t], x) for s, t, x in shuffled]
+    delta = float(rng.uniform(1.0, 100.0))
+
+    def counts_rows(rows):
+        text = table_text(EDGE_LIST_HEADER, rows)
+        counts = count_motifs(parse_edge_list(io.StringIO(text, newline="")), delta)
+        header, *body = csv.reader(io.StringIO(counts.csv_text(), newline=""))
+        return header, {row[0]: row[1:] for row in body}
+
+    header, before = counts_rows(edges)
+    header_after, after = counts_rows(renamed)
+    assert header_after == header and len(after) == len(before)
+    assert after == {rename[name]: cells for name, cells in before.items()}
+
+
 def _cell_permutation(transform):
     """perm[i] is the positioned cell that cell i of a graph's counts moves
     to when each instance's edge sequence goes through transform: the
@@ -313,14 +341,8 @@ def test_per_motif_accounting(seed):
             assert c.counts[:, m.index, 2].sum() == 0
 
 
-def _counts_text(tmp_path, counts):
-    path = tmp_path / "counts.csv"
-    counts.write_csv(path)
-    return path.read_text(encoding="utf-8")
-
-
-def test_csv_round_trip(tmp_path, toy_counts):
-    text = _counts_text(tmp_path, toy_counts)
+def test_csv_round_trip(toy_counts):
+    text = toy_counts.csv_text()
     back = read_count_csv(io.StringIO(text))
     assert back.node_names == toy_counts.node_names
     assert np.array_equal(back.counts, toy_counts.counts)
@@ -333,14 +355,14 @@ def test_csv_round_trip(tmp_path, toy_counts):
 
 def test_csv_write_and_read_files(tmp_path, toy_counts):
     p = tmp_path / "counts.csv"
-    toy_counts.write_csv(p)
+    p.write_text(toy_counts.csv_text(), encoding="utf-8")
     with open(p, newline="") as fh:
         back = read_count_csv(fh)
     assert np.array_equal(back.counts, toy_counts.counts)
 
 
-def test_read_count_csv_rejects_bad_input(tmp_path, toy_counts):
-    good = _counts_text(tmp_path, toy_counts).splitlines()
+def test_read_count_csv_rejects_bad_input(toy_counts):
+    good = toy_counts.csv_text().splitlines()
     with pytest.raises(ValueError):
         read_count_csv(io.StringIO("node,M11_p1\nA,1\n"))
     # nonzero value in a dead two-node position-3 column
@@ -392,10 +414,8 @@ def test_read_count_csv_checks_that_a_motifs_positions_agree(cells, instances):
         assert read_count_csv(io.StringIO(text)).total_instances() == instances
 
 
-def test_motif_totals_csv(tmp_path, toy_counts):
-    path = tmp_path / "motif_totals.csv"
-    toy_counts.write_motif_totals_csv(path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+def test_motif_totals_csv(toy_counts):
+    lines = toy_counts.motif_totals_csv_text().strip().splitlines()
     assert lines[0] == "motif,instances"
     assert len(lines) == 37
     by_name = dict(line.split(",") for line in lines[1:])
@@ -478,9 +498,9 @@ def test_candidates_lie_between_instances_and_window_triples(seed, integer_times
         assert counted.candidates <= counted.candidate_bound
 
 
-def test_candidates_are_none_when_not_counted(tmp_path, toy_counts):
+def test_candidates_are_none_when_not_counted(toy_counts):
     assert toy_counts.candidates == 4
-    text = _counts_text(tmp_path, toy_counts)
+    text = toy_counts.csv_text()
     loaded = read_count_csv(io.StringIO(text))
     assert loaded.candidates is None
     assert loaded.candidate_bound is None

@@ -10,10 +10,10 @@ from scipy.sparse.csgraph import connected_components
 from motifroles.graph import (
     EdgeListError,
     TemporalGraph,
+    edge_list_text,
     filter_nodes,
     largest_scc,
     parse_edge_list,
-    write_edge_list,
 )
 from synthdata import random_digraph_arcs, random_temporal_graph
 
@@ -86,7 +86,7 @@ def test_graph_validation_errors():
 
 
 def _round_trip(g, path):
-    write_edge_list(g, path)
+    path.write_text(edge_list_text(g), encoding="utf-8")
     return parse_edge_list(path)
 
 
@@ -98,7 +98,7 @@ def test_round_trip_through_serializer(tmp_path):
     # and through an open stream
     g = random_temporal_graph(rng)
     path = tmp_path / "edges.csv"
-    write_edge_list(g, path)
+    path.write_text(edge_list_text(g), encoding="utf-8")
     with open(path, newline="") as fh:
         assert parse_edge_list(fh) == g
 

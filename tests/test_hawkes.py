@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from motifroles import hawkes
-from motifroles.cluster import write_labels_csv
-from motifroles.graph import write_edge_list
+from motifroles.cluster import labels_csv_text
+from motifroles.graph import edge_list_text
 from motifroles.hawkes import (
     EXCITATION_KINDS,
     BlockHawkesParams,
@@ -24,7 +24,6 @@ from motifroles.hawkes import (
     scenario_delta,
     scenario_params,
     simulate,
-    write_params,
 )
 
 
@@ -173,7 +172,13 @@ class TestValidation:
         ("max_events", 1000.5, "max_events must be a whole number"),
         ("block_pair", [0.7, 1.2], "block_pair must be a whole number"),
         ("block_assignment", [0.5] * 20, "block_assignment must be a whole number"),
-        ("n_nodes", float("inf"), "malforms a field"),
+        ("n_nodes", float("inf"), "n_nodes must be a whole number, got inf"),
+        ("n_nodes", float("-inf"), "n_nodes must be a whole number, got -inf"),
+        ("n_nodes", float("nan"), "n_nodes must be a whole number, got nan"),
+        ("max_events", float("nan"), "max_events must be a whole number, got nan"),
+        ("block_pair", [0, float("nan")], "block_pair must be a whole number, got nan"),
+        ("block_assignment", [float("nan")] * 20,
+         "block_assignment must be a whole number, got nan"),
     ])
     def test_from_json_rejects_a_fractional_count_or_label(self, field, value, message):
         # int() alone would truncate these: 20.9 nodes would load as 20
@@ -267,7 +272,7 @@ class TestValidation:
 
 
 def _edge_list_bytes(g, path):
-    write_edge_list(g, path)
+    path.write_text(edge_list_text(g), encoding="utf-8")
     return path.read_bytes()
 
 
@@ -353,7 +358,7 @@ class TestParamsSerialization:
     def test_json_round_trip(self, tmp_path):
         params = scenario_params(1)
         path = tmp_path / "params.json"
-        write_params(params, path)
+        path.write_text(params.to_json(), encoding="utf-8")
         again = read_params(path)
         assert again == params
 
@@ -364,11 +369,10 @@ class TestParamsSerialization:
         with pytest.raises(ValueError):
             BlockHawkesParams.from_json("not json at all")
 
-    def test_labels_csv(self, tmp_path):
+    def test_labels_csv(self):
         net = simulate(scenario_params(1), seed=0)
-        path = tmp_path / "labels.csv"
-        write_labels_csv(net.graph.node_names, net.labels, path, "block")
-        lines = path.read_text().strip().splitlines()
+        text = labels_csv_text(net.graph.node_names, net.labels, "block")
+        lines = text.strip().splitlines()
         assert lines[0] == "node,block"
         assert len(lines) == 21
 

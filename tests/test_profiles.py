@@ -138,25 +138,19 @@ def test_filter_monotonicity(seed, lo, extra):
     assert set(big.node_names) <= set(small.node_names)
 
 
-def _profiles_text(tmp_path, p):
-    path = tmp_path / "profiles.csv"
-    p.write_csv(path)
-    return path.read_text(encoding="utf-8")
-
-
-def test_csv_round_trip(tmp_path, toy_counts):
+def test_csv_round_trip(toy_counts):
     for build, width in ((build_positioned, 104), (build_positionless, 36)):
         p = build(toy_counts, min_motifs=0)
         assert p.width == width
-        back = read_profile_csv(io.StringIO(_profiles_text(tmp_path, p)))
+        back = read_profile_csv(io.StringIO(p.csv_text()))
         assert back.kind == p.kind
         assert back.node_names == p.node_names
         assert np.array_equal(back.vectors, p.vectors)
 
 
-def test_positioned_csv_has_dead_columns(tmp_path, toy_counts):
+def test_positioned_csv_has_dead_columns(toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
-    lines = _profiles_text(tmp_path, p).splitlines()
+    lines = p.csv_text().splitlines()
     header = lines[0].split(",")
     assert len(header) == 109
     dead = header.index("M51_p3")
@@ -164,9 +158,9 @@ def test_positioned_csv_has_dead_columns(tmp_path, toy_counts):
         assert line.split(",")[dead] == "0.0"
 
 
-def test_read_profile_csv_rejects_bad_input(tmp_path, toy_counts):
+def test_read_profile_csv_rejects_bad_input(toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
-    lines = _profiles_text(tmp_path, p).splitlines()
+    lines = p.csv_text().splitlines()
     header = lines[0].split(",")
     dead = header.index("M61_p3")
     row = lines[1].split(",")
@@ -188,13 +182,11 @@ def test_read_profile_csv_rejects_bad_input(tmp_path, toy_counts):
         read_profile_csv(io.StringIO("node,bogus\nA,1.0\n"))
 
 
-def test_dropped_csv(tmp_path, toy_counts):
+def test_dropped_csv(toy_counts):
     counts = np.array(toy_counts.counts)
     m = matrix_from_counts(toy_counts.node_names, counts)
     p = build_positioned(m, min_motifs=4)
-    path = tmp_path / "dropped.csv"
-    p.write_dropped_csv(path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    lines = p.dropped_csv_text().strip().splitlines()
     assert lines[0] == "node,total_participation"
     assert lines[1] == "C,3"
     assert p.node_names == ("A", "B")

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from motifroles.cluster import write_labels_csv
+from motifroles.cluster import labels_csv_text
 from motifroles.counting import read_count_csv
 from motifroles.profiles import ProfileMatrix
-from motifroles.table import node_table_text, read_table, table_text, write_table
+from motifroles.table import node_table_text, read_table, table_text
 
 ODD_NAMES = ["plain", "X,Y", 'Q"R', "line\nfeed", "carriage\rreturn", " pad "]
 
 
 def test_odd_names_round_trip_through_a_file(tmp_path):
     path = tmp_path / "t.csv"
-    write_table(path, ("node", "v"), ((name, i) for i, name in enumerate(ODD_NAMES)))
+    rows = ((name, i) for i, name in enumerate(ODD_NAMES))
+    path.write_text(table_text(("node", "v"), rows), encoding="utf-8")
     header, names, rows = read_table(path, "t", [("node", "v")], int)
     assert header == ("node", "v")
     assert names == tuple(ODD_NAMES)
@@ -50,12 +51,11 @@ def test_read_table_errors_name_the_table_and_row(text, message):
 
 def test_node_keyed_readers_reject_a_repeated_node(tmp_path, toy_counts):
     path = tmp_path / "labels.csv"
-    write_labels_csv(("A", "B", "A"), np.array([0, 1, 0]), path, "cluster")
+    path.write_text(labels_csv_text(("A", "B", "A"), np.array([0, 1, 0]), "cluster"),
+                    encoding="utf-8")
     with pytest.raises(ValueError, match="labels CSV: row 4: node 'A' repeats"):
         read_table(path, "labels CSV", [("node", "cluster")], int)
-    path = tmp_path / "counts.csv"
-    toy_counts.write_csv(path)
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines = toy_counts.csv_text().splitlines(keepends=True)
     text = "".join(lines + lines[2:3])
     with pytest.raises(ValueError, match="counts CSV: row 5: node 'B' repeats"):
         read_count_csv(io.StringIO(text))
@@ -99,7 +99,6 @@ def test_node_table_text_equals_the_generic_writer(table):
     assert back.tobytes() == values.tobytes()  # -0.0 reads back as -0.0
 
 
-def test_dropped_csv_without_dropped_nodes_is_its_header(tmp_path):
+def test_dropped_csv_without_dropped_nodes_is_its_header():
     empty = ProfileMatrix("positionless", (), np.zeros((0, 36)), dropped=())
-    empty.write_dropped_csv(tmp_path / "dropped.csv")
-    assert (tmp_path / "dropped.csv").read_bytes() == b"node,total_participation\n"
+    assert empty.dropped_csv_text() == "node,total_participation\n"
