@@ -129,20 +129,11 @@ if len(MOTIF_OF_SIGNATURE) != N_MOTIFS:  # duplicate row would corrupt the bijec
     raise AssertionError("motif signature table is not a bijection")
 
 
-def signature_of(motif: MotifId) -> Signature:
-    return SIGNATURE_OF[motif]
-
-
 def motif_of_signature(signature: Signature) -> MotifId:
     try:
         return MOTIF_OF_SIGNATURE[signature]
     except KeyError:
         raise ValueError(f"not a canonical motif signature: {signature!r}") from None
-
-
-def motif_catalog() -> tuple[tuple[MotifId, Signature], ...]:
-    """The full id <-> signature table in row-major grid order."""
-    return tuple((m, SIGNATURE_OF[m]) for m in MOTIFS)
 
 
 # Cell layout for count/profile matrices. Storage is (36, 3) per node with

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -94,8 +93,8 @@ class Excitation:
         object.__setattr__(self, "block_pair", pair)
         if not self.alpha >= 0:  # NaN fails too
             raise ValueError("alpha must be non-negative")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.beta < np.inf:  # NaN and inf fail too
+            raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
 
 
 @dataclass(frozen=True)
@@ -118,8 +117,8 @@ class BlockHawkesParams:
     def validate(self) -> None:
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         probs = np.asarray(self.block_probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0 or not probs.min() >= 0:  # NaN fails too
             raise ValueError("block_probs must be non-negative")
@@ -213,10 +212,6 @@ class BlockHawkesParams:
             raise ValueError(f"params file is missing or malforms a field: {exc}") from None
         params.validate()
         return params
-
-
-def read_params(path) -> BlockHawkesParams:
-    return BlockHawkesParams.from_json(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)

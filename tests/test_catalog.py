@@ -20,12 +20,11 @@ from motifroles.catalog import (
     N_POSITIONED_CELLS,
     POSITIONED_CELL_NAMES,
     POSITIONS_PER_MOTIF,
+    SIGNATURE_OF,
     TWO_NODE_MOTIFS,
     catalog_table,
     catalog_table_csv,
-    motif_catalog,
     motif_of_signature,
-    signature_of,
 )
 
 # Independent reconstruction of the grid: the first edge is always (a,b);
@@ -42,22 +41,22 @@ def derived_signature(row: int, col: int):
 
 def test_every_signature_matches_the_grid_rule():
     for m in MOTIFS:
-        assert signature_of(m) == derived_signature(m.row, m.col)
+        assert SIGNATURE_OF[m] == derived_signature(m.row, m.col)
 
 
 def test_anchor_entries():
-    assert signature_of(MotifId(5, 1)) == (("a", "b"), ("b", "a"), ("a", "b"))
-    assert signature_of(MotifId(3, 3)) == (("a", "b"), ("c", "a"), ("a", "c"))
-    assert signature_of(MotifId(4, 1)) == (("a", "b"), ("a", "c"), ("a", "b"))
-    assert signature_of(MotifId(4, 2)) == (("a", "b"), ("a", "c"), ("b", "a"))
-    assert signature_of(MotifId(6, 1)) == (("a", "b"), ("a", "b"), ("a", "b"))
-    assert signature_of(MotifId(6, 2)) == (("a", "b"), ("a", "b"), ("b", "a"))
+    assert SIGNATURE_OF[MotifId(5, 1)] == (("a", "b"), ("b", "a"), ("a", "b"))
+    assert SIGNATURE_OF[MotifId(3, 3)] == (("a", "b"), ("c", "a"), ("a", "c"))
+    assert SIGNATURE_OF[MotifId(4, 1)] == (("a", "b"), ("a", "c"), ("a", "b"))
+    assert SIGNATURE_OF[MotifId(4, 2)] == (("a", "b"), ("a", "c"), ("b", "a"))
+    assert SIGNATURE_OF[MotifId(6, 1)] == (("a", "b"), ("a", "b"), ("a", "b"))
+    assert SIGNATURE_OF[MotifId(6, 2)] == (("a", "b"), ("a", "b"), ("b", "a"))
 
 
 def test_two_node_motifs_are_exactly_the_ab_only_signatures():
     ab_only = {
         m for m in MOTIFS
-        if not any("c" in e for e in signature_of(m))
+        if not any("c" in e for e in SIGNATURE_OF[m])
     }
     assert ab_only == set(TWO_NODE_MOTIFS)
     assert {(m.row, m.col) for m in TWO_NODE_MOTIFS} == {(5, 1), (5, 2), (6, 1), (6, 2)}
@@ -66,10 +65,10 @@ def test_two_node_motifs_are_exactly_the_ab_only_signatures():
 
 
 def test_signature_to_motif_is_a_bijection():
-    sigs = {signature_of(m) for m in MOTIFS}
+    sigs = {SIGNATURE_OF[m] for m in MOTIFS}
     assert len(sigs) == 36
     for m in MOTIFS:
-        assert motif_of_signature(signature_of(m)) == m
+        assert motif_of_signature(SIGNATURE_OF[m]) == m
 
 
 def test_motif_of_signature_rejects_non_canonical():
@@ -140,7 +139,7 @@ def test_key_lookup_agrees_with_catalog():
     code = {"a": 0, "b": 1, "c": 2}
     seen = set()
     for m in MOTIFS:
-        (_, _), (s2, t2), (s3, t3) = signature_of(m)
+        (_, _), (s2, t2), (s3, t3) = SIGNATURE_OF[m]
         key = (code[s2] * 3 + code[t2]) * 9 + code[s3] * 3 + code[t3]
         assert KEY_TO_MOTIF_INDEX[key] == m.index
         seen.add(key)
@@ -162,7 +161,7 @@ def test_catalog_table_dump():
 
 
 def test_motif_catalog_mapping():
-    table = motif_catalog()
+    table = tuple(SIGNATURE_OF.items())
     assert len(table) == 36
     as_dict = {sig: m for m, sig in table}
     assert as_dict[(("a", "b"), ("b", "a"), ("a", "b"))] == MotifId(5, 1)

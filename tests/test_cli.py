@@ -21,11 +21,15 @@ from motifroles.graph import parse_edge_list
 from motifroles.hawkes import (
     SCENARIO_DELTAS,
     BlockHawkesParams,
-    read_params,
     scenario_params,
 )
 from motifroles.profiles import ProfileMatrix
-from conftest import TOY_EDGES, check_manifest
+from conftest import (
+    NON_FINITE_PARAMS,
+    TOY_EDGES,
+    check_manifest,
+    one_block_params_json,
+)
 
 TOY_CSV = "source,target,timestamp\n" + "".join(
     f"{s},{t},{x:g}\n" for s, t, x in TOY_EDGES
@@ -368,6 +372,39 @@ def test_importing_the_cli_leaves_evaluation_unloaded():
     assert result.stdout.splitlines()[-1] == "[]"
 
 
+def test_the_package_root_imports_nothing():
+    # each name has one import path, its module; `import motifroles` loads
+    # no module of the package and no numpy, and the cli loads only what
+    # its commands other than eval need
+    src = Path(motifroles.__file__).resolve().parents[1]
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import motifroles\n"
+            "root = sorted(set(sys.modules) - before)\n"
+            "import motifroles.cli\n"
+            "print(json.dumps([root, sorted(m for m in sys.modules\n"
+            "                               if m.startswith('motifroles.'))]))")
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    root, cli = json.loads(result.stdout.splitlines()[-1])
+    assert [m for m in root if m.startswith("motifroles.") or m == "numpy"] == []
+    assert cli == [f"motifroles.{m}" for m in (
+        "catalog", "cli", "cluster", "counting", "graph", "hawkes", "profiles",
+        "render", "table")]
+
+
+def test_the_package_version_matches_pyproject():
+    # every manifest records motifroles.__version__
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(motifroles.__file__).resolve().parents[2] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == motifroles.__version__
+
+
 def test_render_rejects_a_nan_merge_height(tmp_path, toy_csv, capsys):
     _, pdir, kdir = run_pipeline(tmp_path, toy_csv, k=2)
     text = (kdir / "dendrogram.txt").read_text(encoding="utf-8")
@@ -577,7 +614,8 @@ def test_simulate_writes_edges_and_labels(tmp_path, capsys):
 def test_simulate_emit_params_round_trips(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", "1", "--out", str(out)]) == 0
-    assert read_params(out / "params.json") == scenario_params(1)
+    text = (out / "params.json").read_text(encoding="utf-8")
+    assert BlockHawkesParams.from_json(text) == scenario_params(1)
 
 
 def test_simulate_needs_exactly_one_source(tmp_path, capsys):
@@ -771,6 +809,18 @@ def test_simulate_rejects_nan_params(tmp_path, capsys, field, value, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha, beta, horizon, message", NON_FINITE_PARAMS)
+def test_simulate_refuses_an_infinite_beta_or_horizon(tmp_path, capsys, alpha, beta,
+                                                     horizon, message):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(one_block_params_json(alpha, beta, horizon))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(pfile), "--seed", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value, kind", [
     ("n_nodes", "20", "str"),
     ("max_events", True, "bool"),
@@ -792,7 +842,6 @@ def test_simulate_refuses_a_boolean_or_string_for_a_number(tmp_path, capsys, fie
 def test_params_file_may_start_with_a_byte_order_mark(tmp_path):
     pfile = tmp_path / "params.json"
     pfile.write_text("\ufeff" + scenario_params(1).to_json(), encoding="utf-8")
-    assert read_params(pfile) == scenario_params(1)
     out = tmp_path / "sim"
     assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 0
     assert (out / "params.json").read_text(encoding="utf-8") == scenario_params(1).to_json()

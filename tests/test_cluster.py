@@ -28,7 +28,10 @@ from motifroles.cluster import (
     serialize_dendrogram,
     ward_linkage,
 )
+from motifroles.counting import count_motifs
+from motifroles.profiles import build_positioned
 from motifroles.table import read_table
+from synthdata import mid_scale_network
 
 
 def test_two_points_merge_at_squared_gap_over_two_times_sizes():
@@ -125,11 +128,12 @@ def ward_oracle(points):
     return merges
 
 
-def ward_reference(points):
+def ward_reference(points, runner_up=None):
     """The O(n^3) linkage that ward_linkage replaced: a (2n-1)^2 matrix and,
     at every step, the first minimum of the live upper triangle in id
     order. It does the same float operations, so merges must match
-    exactly, ties included."""
+    exactly, ties included. A runner_up list receives each step's second
+    smallest live distance (inf at the last step)."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     total = 2 * n - 1
@@ -146,6 +150,8 @@ def ward_reference(points):
         iu, ju = np.triu_indices(len(act), k=1)
         vals = sub[iu, ju]
         best = int(np.argmin(vals))
+        if runner_up is not None:
+            runner_up.append(np.partition(vals, 1)[1] if vals.size > 1 else np.inf)
         left, right = int(act[iu[best]]), int(act[ju[best]])
         height = float(vals[best])
         new = n + step
@@ -322,6 +328,54 @@ def test_heights_never_decrease(seed, n):
     pts = rng.normal(size=(n, 4))
     h = ward_linkage(pts).heights()
     assert all(b >= a - 1e-9 for a, b in zip(h, h[1:]))
+
+
+def first_tied_step(points, ulps=4):
+    """The first Ward step at which a second live pair lies within ulps
+    units in the last place of the minimum; n - 1 if there is none."""
+    runner_up = []
+    merges = ward_reference(points, runner_up)
+    for step, ((_, _, height, _), second) in enumerate(zip(merges, runner_up)):
+        if second - height <= ulps * np.spacing(height):
+            return step
+    return len(merges)
+
+
+def partition(labels, names):
+    return {frozenset(names[labels == c]) for c in np.unique(labels)}
+
+
+def assert_exact_under_row_permutation(points, perm):
+    # a row-major einsum sums each distance in the same order, and a
+    # Lance-Williams update is symmetric in the merged pair, so before the
+    # first tie the heights keep their bits and the merged sets their members
+    assert points.flags.c_contiguous
+    n = len(points)
+    stop = first_tied_step(points)
+    d, dp = ward_linkage(points), ward_linkage(points[perm])
+    assert d.heights()[:stop].tobytes() == dp.heights()[:stop].tobytes()
+    for k in range(n - stop, n + 1):
+        assert partition(cut(d, k).labels, np.arange(n)) == \
+               partition(cut(dp, k).labels, perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 3))
+def test_linkage_is_exact_under_row_permutation(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    assert_exact_under_row_permutation(rng.normal(size=(n, dim)), rng.permutation(n))
+
+
+@pytest.fixture(scope="module")
+def mid_scale_profiles():
+    counts = count_motifs(mid_scale_network(seed=0), 7.0)
+    return build_positioned(counts, min_motifs=10).vectors
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_linkage_of_profiles_is_exact_under_row_permutation(mid_scale_profiles, seed):
+    perm = np.random.default_rng(seed).permutation(len(mid_scale_profiles))
+    assert_exact_under_row_permutation(mid_scale_profiles, perm)
 
 
 def test_centroids():

@@ -69,9 +69,9 @@ class TestClassifyTriple:
 
     def test_every_signature_classifies_to_its_own_motif(self):
         node = {"a": 0, "b": 1, "c": 2}
-        from motifroles.catalog import MOTIFS, signature_of
+        from motifroles.catalog import MOTIFS, SIGNATURE_OF
         for m in MOTIFS:
-            sig = signature_of(m)
+            sig = SIGNATURE_OF[m]
             edges = [e(node[s], node[t], i + 1, i) for i, (s, t) in enumerate(sig)]
             got, pos = classify_triple(*edges)
             assert got == m

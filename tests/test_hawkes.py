@@ -20,11 +20,11 @@ from motifroles.hawkes import (
     Excitation,
     SCENARIO_DELTAS,
     intensity,
-    read_params,
     scenario_delta,
     scenario_params,
     simulate,
 )
+from conftest import NON_FINITE_PARAMS, one_block_params_json
 
 
 def one_block_params(mu=0.1, horizon=50.0, excitations=(), n_nodes=2,
@@ -243,6 +243,12 @@ class TestValidation:
                 f"^{field} must be a JSON number, not {value.__name__}$")):
             BlockHawkesParams.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("alpha, beta, horizon, message", NON_FINITE_PARAMS)
+    def test_from_json_refuses_an_infinite_beta_or_horizon(self, alpha, beta, horizon,
+                                                           message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockHawkesParams.from_json(one_block_params_json(alpha, beta, horizon))
+
     def test_from_json_reads_only_a_missing_or_null_assignment_as_absent(self):
         payload = json.loads(scenario_params(1).to_json())
         assert payload["block_assignment"] is None
@@ -355,12 +361,9 @@ class TestSimulate:
 
 
 class TestParamsSerialization:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         params = scenario_params(1)
-        path = tmp_path / "params.json"
-        path.write_text(params.to_json(), encoding="utf-8")
-        again = read_params(path)
-        assert again == params
+        assert BlockHawkesParams.from_json(params.to_json()) == params
 
     def test_from_json_rejects_garbage(self, tmp_path):
         from motifroles.hawkes import BlockHawkesParams
