@@ -2,6 +2,7 @@
 pass/fail line under `pytest -v`. The heavy fixtures (100-seed studies)
 are shared between the accuracy and centroid-structure checks."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -232,6 +233,22 @@ CRITERION_7_CHAIN = [
 ]
 
 
+# sha256 of each SVG the chain's render writes
+CRITERION_7_SVGS = {
+    "centroid_0.svg": "9bb787c3e60a8ae75d8e9b4969b121c15c0199c86ec8ff40912381a7460a57ff",
+    "centroid_1.svg": "bb3654b0770b93c286470aac0ccb0624ae41425d13746ff1fecf591a56f0aedc",
+    "centroid_2.svg": "764f3c9acdcb2072de72d6eb107d976122a1d9c009650bad9358029c72c8f50e",
+    "centroid_3.svg": "2fdfd5b21ccee029ba406ea0b3b15e28acb9c411bfea45093b53be641bd922a3",
+    "centroid_4.svg": "c24c51a1a0e98a3f953eb865529ebd5a72a8e6e5199a4d14fff9261c96183039",
+    "centroid_5.svg": "7c5477409fcc84ca1a7c555a9079e29af4ed8b90364d28422c0a5ede77782d83",
+    "centroid_6.svg": "a4e879a4ba2a0cd4f8cc7857ce758b7b3b6489b933e775097e4357dc8bfc002f",
+    "centroid_7.svg": "7b93c02f77ce21b1a6e3f1b4f9c8e1877f9e5aa0338ea54450a8b3194ade6cfe",
+    "centroid_8.svg": "3a514c69ef2f415885abe691b92b1bf321d7b6067fdfec3213250736af482eb2",
+    "centroid_9.svg": "365a805a1386e6d9a2c8333990ea339d27006dcd635ff758edb5d6fe6dd76950",
+    "dendrogram.svg": "babc1dc8d073e49459433ae4ad896ef9d71b9b76afc0340a0ab9911c18aa33de",
+}
+
+
 def _criterion_7_edges() -> str:
     return edge_list_text(mid_scale_network(seed=0, n_nodes=156, n_edges=5000))
 
@@ -254,6 +271,8 @@ def test_criterion_7_mid_scale_pipeline(tmp_path, monkeypatch):
     assert sum(1 for s in svgs if s.startswith("centroid_")) == 10
     for svg in svgs:
         ET.fromstring((rdir / svg).read_text())
+    assert {svg: hashlib.sha256((rdir / svg).read_bytes()).hexdigest()
+            for svg in svgs} == CRITERION_7_SVGS
     clusters = (kdir / "clusters.csv").read_text().strip().splitlines()
     assert len(clusters) > 100  # most of the 156 nodes survive the filters
     print(f"[criterion 7] PASS: 156-node / 5000-edge pipeline "

@@ -128,6 +128,31 @@ def test_render_outputs_valid_svgs(tmp_path, toy_csv):
     check_manifest(rdir2, "render")
 
 
+
+NODE_A_SVG = "858ef393a0b62ca7b923311eb5ef0844c55c2e7f4e960b2c5fe40f5f4c36a23b"
+
+
+@pytest.mark.parametrize("k, digests", [
+    ("1", {"dendrogram.svg": "3ec872b096d4fe5ddceda2368ed440e1b4208010fe1dd6a7f3d136b1cc180ad9",
+           "centroid_0.svg": "e7bfeb11bd0d3919e50e66c91c945413c1bbef241feb4f09e7a855a3dc39eb6b"}),
+    ("2", {"dendrogram.svg": "0ef809a64547a0efdad1a2d3602dbc823fa7a5134e091bc86ed4777ee9988f32",
+           "centroid_0.svg": "b67a8b06eae92980b86d75703b54847b00718977fcd07561024b47df78e452cc",
+           "centroid_1.svg": "d1a43c60e7dd1a3bd7aa38f118142622d4b9c43a62d96ae30998f995d791ec76"}),
+    ("3", {"dendrogram.svg": "1208891b5ecd0fb34854401a6b6ff315a8b768709b4c0240bfc40309c57edcc1",
+           "centroid_0.svg": "b67a8b06eae92980b86d75703b54847b00718977fcd07561024b47df78e452cc",
+           "centroid_1.svg": "0819e5d1350d9c937248ead28e2d94fb074362c7662015ece367d44ba9ffc28b",
+           "centroid_2.svg": "7ab8977b00a60e000d03b271f833d2fe1f7b7992df0dcafbb186004de6280cd5"}),
+])
+def test_render_svgs_are_pinned(tmp_path, toy_csv, k, digests):
+    _, pdir, kdir = run_pipeline(tmp_path, toy_csv)
+    rdir = tmp_path / "r"
+    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                 "--dendrogram", str(kdir / "dendrogram.txt"),
+                 "--k", k, "--node", "A", "--out", str(rdir)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in rdir.glob("*.svg")} == {**digests, "node_A.svg": NODE_A_SVG}
+
+
 def test_render_node_only(tmp_path, toy_csv):
     _, pdir, _ = run_pipeline(tmp_path, toy_csv)
     rdir = tmp_path / "r"
