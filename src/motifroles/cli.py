@@ -23,6 +23,8 @@ import sys
 import urllib.parse
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, catalog
 from .cluster import (
     cut,
@@ -102,13 +104,13 @@ def _cmd_cluster(args, read):
             f"--k must be in 1..{prof.n_profiled} for {prof.n_profiled} profiled nodes"
         )
     dendro = ward_linkage(prof)
-    clustering = cut(dendro, args.k)
+    labels = cut(dendro, args.k)
     files = {
         "dendrogram.txt": serialize_dendrogram(dendro, prof.node_names),
-        "clusters.csv": labels_csv_text(prof.node_names, clustering, "cluster"),
+        "clusters.csv": labels_csv_text(prof.node_names, labels, "cluster"),
     }
     config = {"profiles": args.profiles, "k": args.k, "kind": prof.kind}
-    sizes = ", ".join(str(int(s)) for s in clustering.sizes())
+    sizes = ", ".join(str(int(s)) for s in np.bincount(labels))
     text = f"cut {prof.n_profiled} profiles into k={args.k} clusters (sizes {sizes})\n"
     return files, config, text
 
@@ -123,8 +125,9 @@ def _cmd_render(args, read):
         if names != prof.node_names:
             raise ValueError("dendrogram and profile files cover different nodes")
         k = args.k if args.k is not None else 1
-        files["dendrogram.svg"] = dendrogram_svg(dendro, names, k_highlight=k)
-        means = centroids(prof, cut(dendro, k))
+        labels = cut(dendro, k)
+        files["dendrogram.svg"] = dendrogram_svg(dendro, names, labels)
+        means = centroids(prof, labels)
         for c in range(k):
             files[f"centroid_{c}.svg"] = heatmap_svg(
                 means[c], prof.kind, f"cluster {c} centroid ({prof.kind})"

@@ -68,42 +68,23 @@ class Dendrogram:
                 raise ValueError("merge heights must be non-decreasing")
             prev = max(prev, m.height)
 
-    def children(self) -> dict[int, tuple[int, int]]:
-        return {
-            self.n_leaves + i: (m.left, m.right) for i, m in enumerate(self.merges)
-        }
-
     def leaf_order(self) -> list[int]:
         """Leaves left to right as drawn: left subtree before right."""
-        kids = self.children()
+        n = self.n_leaves
         order: list[int] = []
-        stack = [2 * self.n_leaves - 2]
+        stack = [2 * n - 2]
         while stack:
             node = stack.pop()
-            if node < self.n_leaves:
+            if node < n:
                 order.append(node)
             else:
-                left, right = kids[node]
-                stack.append(right)
-                stack.append(left)
+                m = self.merges[node - n]
+                stack.append(m.right)
+                stack.append(m.left)
         return order
 
     def heights(self) -> np.ndarray:
         return np.array([m.height for m in self.merges])
-
-
-@dataclass(frozen=True)
-class FlatClustering:
-    labels: np.ndarray  # cluster index per leaf, 0..k-1 in leaf order
-    k: int
-
-    def __post_init__(self):
-        self.labels.setflags(write=False)
-        if self.labels.size and int(self.labels.max()) >= self.k:
-            raise ValueError("label outside 0..k-1")
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.k)
 
 
 def _as_points(profiles) -> np.ndarray:
@@ -241,10 +222,10 @@ def ward_linkage(profiles) -> Dendrogram:
     return Dendrogram(n_leaves=n, merges=tuple(merges))
 
 
-def cut(dendrogram: Dendrogram, k: int) -> FlatClustering:
-    """Flat clustering obtained by undoing the last k-1 merges.
-
-    Cluster indices follow dendrogram leaf order, 0 leftmost.
+def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
+    """Flat clustering obtained by undoing the last k-1 merges: a read-only
+    int64 array of each leaf's cluster, 0..k-1 along the leaf order, 0
+    leftmost. The first n-k merges are exactly those inside one cluster.
     """
     n = dendrogram.n_leaves
     if not (1 <= k <= n):
@@ -257,17 +238,19 @@ def cut(dendrogram: Dendrogram, k: int) -> FlatClustering:
     number: dict[int, int] = {}
     for leaf in dendrogram.leaf_order():  # each root's leaves are one contiguous run
         labels[leaf] = number.setdefault(root[leaf], len(number))
-    return FlatClustering(labels=labels, k=k)
+    labels.setflags(write=False)
+    return labels
 
 
-def centroids(profiles, clustering: FlatClustering) -> np.ndarray:
-    """Mean profile per cluster, rows indexed by cluster."""
+def centroids(profiles, labels) -> np.ndarray:
+    """Mean profile per cluster 0..max label, rows indexed by cluster."""
     x = _as_points(profiles)
-    if x.shape[0] != clustering.labels.shape[0]:
-        raise ValueError("profiles and clustering cover different node counts")
-    out = np.zeros((clustering.k, x.shape[1]))
-    for c in range(clustering.k):
-        members = clustering.labels == c
+    labels = _as_labels(labels)
+    if x.shape[0] != labels.shape[0]:
+        raise ValueError("profiles and labels cover different node counts")
+    out = np.zeros((labels.max(initial=-1) + 1, x.shape[1]))
+    for c in range(out.shape[0]):
+        members = labels == c
         if not members.any():
             raise ValueError(f"cluster {c} is empty")
         out[c] = x[members].mean(axis=0)
@@ -275,7 +258,7 @@ def centroids(profiles, clustering: FlatClustering) -> np.ndarray:
 
 
 def _as_labels(value) -> np.ndarray:
-    arr = np.asarray(getattr(value, "labels", value))
+    arr = np.asarray(value)
     if arr.ndim != 1:
         raise ValueError("labels must be 1-D")
     with np.errstate(invalid="ignore"):  # NaN and inf fail the check below

@@ -86,7 +86,7 @@ class Excitation:
     def __post_init__(self):
         if self.kind not in EXCITATION_KINDS:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
-        # a tuple, so that received_mass and intensity match it by ==
+        # a tuple, so that stability_margin and intensity match it by ==
         pair = tuple(_whole(b, "block_pair") for b in self.block_pair)
         if len(pair) != 2:
             raise ValueError(f"block_pair must hold two blocks, got {self.block_pair!r}")
@@ -145,30 +145,16 @@ class BlockHawkesParams:
                 f">= 1 (margin {margin:.4f})"
             )
 
-    def received_mass(self, block_pair: tuple[int, int]) -> float:
-        """Total kernel mass a pair with this block pair can receive.
-
-        shared-receiver and broadcast triggers fan in from up to n-2
-        third nodes, so their alphas scale accordingly.
-        """
-        fan = self.n_nodes - 2
-        mass = 0.0
-        for e in self.excitations:
-            if e.block_pair != block_pair:
-                continue
-            if e.kind in ("self", "reciprocal"):
-                mass += e.alpha
-            else:
-                mass += fan * e.alpha
-        return mass
-
     def stability_margin(self) -> float:
-        """1 - max received mass over block pairs; positive means stable."""
-        worst = 0.0
-        for b1 in range(self.n_blocks):
-            for b2 in range(self.n_blocks):
-                worst = max(worst, self.received_mass((b1, b2)))
-        return 1.0 - worst
+        """1 - max kernel mass a pair process can receive over block pairs;
+        positive means stable. shared-receiver and broadcast triggers fan in
+        from up to n-2 third nodes, so their alphas scale accordingly."""
+        mass: dict[tuple[int, int], float] = {}
+        for e in self.excitations:
+            fan = 1 if e.kind in ("self", "reciprocal") else self.n_nodes - 2
+            mass[e.block_pair] = mass.get(e.block_pair, 0.0) + fan * e.alpha
+        # 0.0 first, so a NaN mass (0 times an infinite alpha) never wins
+        return 1.0 - max([0.0, *mass.values()])
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import catalog
-from .cluster import Dendrogram, cut
+from .cluster import Dendrogram
 
 _DARK = (0, 68, 27)  # deep green anchor of the single-hue ramp
 _PALETTE = (
@@ -138,18 +138,16 @@ def heatmap_svg(vector, kind: str, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def dendrogram_svg(
-    dendrogram: Dendrogram, node_names, k_highlight: int = 1
-) -> str:
-    """Dendrogram drawing; the k_highlight flat clusters are colored, with
-    cluster 0 (leftmost) taking the first palette entry."""
+def dendrogram_svg(dendrogram: Dendrogram, node_names, labels) -> str:
+    """Dendrogram drawing with the flat clusters of `labels`, as cut gives
+    them, colored: cluster 0 (leftmost) takes the first palette entry. The
+    first n-k merges are exactly those inside one cluster, so merge step s
+    takes its left subtree's color when s < n-k and the link grey after."""
     n = dendrogram.n_leaves
-    if len(node_names) != n:
-        raise ValueError("name count does not match leaf count")
-    labels = cut(dendrogram, k_highlight).labels
+    if len(node_names) != n or len(labels) != n:
+        raise ValueError("name or label count does not match leaf count")
+    inside = n - (int(max(labels)) + 1)  # merges within one flat cluster
     order = dendrogram.leaf_order()
-    slot = {leaf: i for i, leaf in enumerate(order)}
-    kids = dendrogram.children()
 
     leaf_space = 36
     margin = 40
@@ -160,40 +158,35 @@ def dendrogram_svg(
     hmax = max((m.height for m in dendrogram.merges), default=0.0)
     scale = plot_h / hmax if hmax > 0 else 0.0
 
-    def ypos(h: float) -> float:
-        return margin + plot_h - h * scale
-
-    xpos: dict[int, float] = {leaf: margin + slot[leaf] * leaf_space for leaf in order}
-    hpos: dict[int, float] = {leaf: 0.0 for leaf in order}
-    cluster_of: dict[int, int] = {leaf: int(labels[leaf]) for leaf in order}
+    # by cluster id: leaves 0..n-1, then merge step s as n + s
+    xpos = [0] * n
+    for i, leaf in enumerate(order):
+        xpos[leaf] = margin + i * leaf_space
+    heights = [0.0] * n + [m.height for m in dendrogram.merges]
+    ypos = [margin + plot_h - h * scale for h in heights]
+    color = [_PALETTE[int(c) % len(_PALETTE)] for c in labels]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for node_id in range(n, 2 * n - 1):
-        left, right = kids[node_id]
-        merge = dendrogram.merges[node_id - n]
-        xl, xr = xpos[left], xpos[right]
-        yl, yr = ypos(hpos[left]), ypos(hpos[right])
-        y = ypos(merge.height)
-        same = cluster_of.get(left) is not None and cluster_of.get(left) == cluster_of.get(right)
-        color = _PALETTE[cluster_of[left] % len(_PALETTE)] if same else _LINK
+    for step, merge in enumerate(dendrogram.merges):
+        left, right = merge.left, merge.right
+        xl, xr, y = xpos[left], xpos[right], ypos[n + step]
         path = (
-            f'M {xl:.2f} {yl:.2f} L {xl:.2f} {y:.2f} '
-            f'L {xr:.2f} {y:.2f} L {xr:.2f} {yr:.2f}'
+            f'M {xl:.2f} {ypos[left]:.2f} L {xl:.2f} {y:.2f} '
+            f'L {xr:.2f} {y:.2f} L {xr:.2f} {ypos[right]:.2f}'
         )
+        stroke = color[left] if step < inside else _LINK
         parts.append(
-            f'<path d="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<path d="{path}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
-        xpos[node_id] = (xl + xr) / 2.0
-        hpos[node_id] = merge.height
-        cluster_of[node_id] = cluster_of[left] if same else None
+        xpos.append((xl + xr) / 2.0)
+        color.append(color[left])
     for leaf in order:
         x = xpos[leaf]
-        color = _PALETTE[int(labels[leaf]) % len(_PALETTE)]
         parts.append(
-            f'<circle cx="{x:.2f}" cy="{ypos(0.0):.2f}" r="3" fill="{color}"/>'
+            f'<circle cx="{x:.2f}" cy="{ypos[leaf]:.2f}" r="3" fill="{color[leaf]}"/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{margin + plot_h + 12}" font-size="10" fill="#222" '

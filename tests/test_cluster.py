@@ -17,7 +17,6 @@ from motifroles import cluster
 from motifroles.cluster import (
     MAX_WARD_LEAVES,
     Dendrogram,
-    FlatClustering,
     Merge,
     _max_assignment,
     centroids,
@@ -47,8 +46,8 @@ def test_three_point_line_heights():
     m0, m1 = d.merges
     assert {m0.left, m0.right} == {0, 1}
     assert m1.size == 3
-    flat = cut(d, 2)
-    assert flat.labels[0] == flat.labels[1] != flat.labels[2]
+    labels = cut(d, 2)
+    assert labels[0] == labels[1] != labels[2]
 
 
 def test_identical_points_merge_at_zero():
@@ -59,9 +58,11 @@ def test_identical_points_merge_at_zero():
 def test_cut_extremes():
     pts = np.array([[0.0], [2.0], [10.0], [11.0]])
     d = ward_linkage(pts)
-    assert list(cut(d, 1).labels) == [0, 0, 0, 0]
-    assert cut(d, 4).k == 4
-    assert sorted(cut(d, 4).labels) == [0, 1, 2, 3]
+    assert list(cut(d, 1)) == [0, 0, 0, 0]
+    assert cut(d, 4).max() == 3
+    assert sorted(cut(d, 4)) == [0, 1, 2, 3]
+    labels = cut(d, 2)
+    assert labels.dtype == np.int64 and not labels.flags.writeable
     with pytest.raises(ValueError):
         cut(d, 0)
     with pytest.raises(ValueError):
@@ -72,9 +73,9 @@ def test_cluster_numbering_follows_leaf_order():
     # cluster 0 must be the leftmost subtree in the drawing order
     pts = np.array([[10.0], [0.0], [10.5], [0.5]])
     d = ward_linkage(pts)
-    flat = cut(d, 2)
+    labels = cut(d, 2)
     order = d.leaf_order()
-    first_cluster_seen = [flat.labels[i] for i in order]
+    first_cluster_seen = [labels[i] for i in order]
     assert first_cluster_seen[0] == 0
     # labels change at most k-1 times along the leaf order
     changes = sum(
@@ -355,8 +356,7 @@ def assert_exact_under_row_permutation(points, perm):
     d, dp = ward_linkage(points), ward_linkage(points[perm])
     assert d.heights()[:stop].tobytes() == dp.heights()[:stop].tobytes()
     for k in range(n - stop, n + 1):
-        assert partition(cut(d, k).labels, np.arange(n)) == \
-               partition(cut(dp, k).labels, perm)
+        assert partition(cut(d, k), np.arange(n)) == partition(cut(dp, k), perm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,8 +380,7 @@ def test_linkage_of_profiles_is_exact_under_row_permutation(mid_scale_profiles, 
 
 def test_centroids():
     pts = np.array([[0.25, 0.75], [0.75, 0.25], [0.0, 1.0]])
-    flat = FlatClustering(labels=np.array([0, 0, 1]), k=2)
-    c = centroids(pts, flat)
+    c = centroids(pts, np.array([0, 0, 1]))
     assert np.allclose(c[0], [0.5, 0.5])
     assert np.allclose(c[1], [0.0, 1.0])
     # centroids of unit-sum rows stay unit-sum
@@ -391,9 +390,9 @@ def test_centroids():
 def test_centroids_validation():
     pts = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        centroids(pts, FlatClustering(labels=np.array([0]), k=1))
-    with pytest.raises(ValueError):
-        centroids(pts, FlatClustering(labels=np.array([0, 0]), k=2))
+        centroids(pts, np.array([0]))
+    with pytest.raises(ValueError, match="cluster 1 is empty"):
+        centroids(pts, np.array([0, 2]))
 
 
 def test_permutation_accuracy_examples():
@@ -407,11 +406,6 @@ def test_permutation_accuracy_validation():
         permutation_accuracy(np.array([0, 1]), np.array([0, 1, 2]))
     with pytest.raises(ValueError):
         permutation_accuracy(np.array([], dtype=int), np.array([], dtype=int))
-
-
-def test_permutation_accuracy_accepts_flat_clustering():
-    flat = FlatClustering(labels=np.array([1, 1, 0, 0]), k=2)
-    assert permutation_accuracy(flat, np.array([0, 0, 1, 1])) == 1.0
 
 
 def test_non_integer_labels_are_rejected():
@@ -640,7 +634,7 @@ def test_leaf_order_is_a_permutation():
     assert sorted(order) == list(range(12))
     # cut labels are non-decreasing along the leaf order for any k
     for k in (1, 2, 3, 5, 12):
-        labels = cut(d, k).labels
+        labels = cut(d, k)
         seq = [labels[i] for i in order]
         assert seq == sorted(seq)
 
@@ -664,7 +658,7 @@ def test_cut_labels_are_runs_of_leaf_order_numbered_left_to_right(seed, n):
     d = random_dendrogram(np.random.default_rng(seed), n)
     order = d.leaf_order()
     for k in range(1, n + 1):
-        labels = cut(d, k).labels
+        labels = cut(d, k)
         seq = labels[order]
         # runs 0, 1, ..., k-1 along the leaf order, each one contiguous
         assert seq[0] == 0 and set(np.diff(seq)) <= {0, 1} and seq[-1] == k - 1

@@ -497,7 +497,8 @@ def spy_on_decays(monkeypatch):
         decays.append(math.exp(x))
         return decays[-1]
 
-    monkeypatch.setattr(hawkes, "math", types.SimpleNamespace(exp=exp))
+    # every other math name stays, so simulate may call any of them
+    monkeypatch.setattr(hawkes, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
     return decays
 
 

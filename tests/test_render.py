@@ -3,10 +3,13 @@ from xml.sax import saxutils
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from motifroles.cluster import ward_linkage
+from motifroles.cluster import cut, ward_linkage
 from motifroles.profiles import build_positioned, build_positionless
-from motifroles.render import dendrogram_svg, heatmap_svg
+from motifroles.render import _LINK, _PALETTE, dendrogram_svg, heatmap_svg
+from test_cluster import random_dendrogram
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -93,9 +96,9 @@ def test_heatmap_title_is_escaped():
 
 def test_dendrogram_svg_basics():
     d = ward_linkage(np.array([[0.0], [2.0], [10.0]]))
-    svg = dendrogram_svg(d, ["x", "y", "z"], k_highlight=2)
+    svg = dendrogram_svg(d, ["x", "y", "z"], cut(d, 2))
     ET.fromstring(svg)
-    assert svg == dendrogram_svg(d, ["x", "y", "z"], k_highlight=2)
+    assert svg == dendrogram_svg(d, ["x", "y", "z"], cut(d, 2))
     # merge heights surface in the header note
     assert "54" in svg
     for name in ("x", "y", "z"):
@@ -104,7 +107,7 @@ def test_dendrogram_svg_basics():
 
 def test_dendrogram_single_color_when_not_cut():
     d = ward_linkage(np.array([[0.0], [1.0]]))
-    svg = dendrogram_svg(d, ["a", "b"], k_highlight=1)
+    svg = dendrogram_svg(d, ["a", "b"], cut(d, 1))
     root = ET.fromstring(svg)
     strokes = {
         p.get("stroke")
@@ -116,23 +119,46 @@ def test_dendrogram_single_color_when_not_cut():
 def test_dendrogram_highlight_uses_distinct_colors():
     pts = np.array([[0.0], [0.5], [10.0], [10.5]])
     d = ward_linkage(pts)
-    svg = dendrogram_svg(d, ["a", "b", "c", "d"], k_highlight=2)
+    svg = dendrogram_svg(d, ["a", "b", "c", "d"], cut(d, 2))
     root = ET.fromstring(svg)
     strokes = {p.get("stroke") for p in root.iter(f"{SVG_NS}path")}
     # two cluster colors plus the grey of the joining arch
     assert len(strokes) == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 25))
+def test_dendrogram_colors_each_merge_by_the_cut_labels_under_it(seed, n):
+    # merge i is drawn as the i-th path; its leaves come from d.merges alone
+    d = random_dendrogram(np.random.default_rng(seed), n)
+    leaves = [{i} for i in range(n)]
+    for m in d.merges:
+        leaves.append(leaves[m.left] | leaves[m.right])
+    names = [f"n{i}" for i in range(n)]
+    for k in range(1, n + 1):
+        labels = cut(d, k)
+        root = ET.fromstring(dendrogram_svg(d, names, labels))
+        strokes = [p.get("stroke") for p in root.iter(f"{SVG_NS}path")]
+        expected = []
+        for under in leaves[n:]:
+            c, *others = {int(labels[leaf]) for leaf in under}
+            expected.append(_LINK if others else _PALETTE[c % len(_PALETTE)])
+        assert strokes == expected
+        # leaf circles are drawn along the leaf order
+        fills = [c.get("fill") for c in root.iter(f"{SVG_NS}circle")]
+        assert fills == [_PALETTE[labels[leaf] % len(_PALETTE)] for leaf in d.leaf_order()]
+
+
 def test_dendrogram_name_count_must_match():
     d = ward_linkage(np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
-        dendrogram_svg(d, ["only one"], k_highlight=1)
+        dendrogram_svg(d, ["only one"], cut(d, 1))
 
 
 def test_node_name_with_markup_characters_is_escaped_like_saxutils():
     name = "a&b<c>\"d'e"
     d = ward_linkage(np.array([[0.0], [1.0]]))
-    svg = dendrogram_svg(d, [name, "plain"], k_highlight=1)
+    svg = dendrogram_svg(d, [name, "plain"], cut(d, 1))
     assert f">{saxutils.escape(name)}</text>" in svg
     assert ">a&amp;b&lt;c&gt;\"d'e</text>" in svg
     texts = [t.text for t in ET.fromstring(svg).iter(f"{SVG_NS}text")]
