@@ -59,10 +59,6 @@ class MotifId:
         return 2 if (self.row, self.col) in _TWO_NODE_CELLS else 3
 
     @property
-    def n_positions(self) -> int:
-        return self.n_nodes
-
-    @property
     def short(self) -> str:
         return f"M{self.row}{self.col}"
 
@@ -129,23 +125,16 @@ if len(MOTIF_OF_SIGNATURE) != N_MOTIFS:  # duplicate row would corrupt the bijec
     raise AssertionError("motif signature table is not a bijection")
 
 
-def motif_of_signature(signature: Signature) -> MotifId:
-    try:
-        return MOTIF_OF_SIGNATURE[signature]
-    except KeyError:
-        raise ValueError(f"not a canonical motif signature: {signature!r}") from None
-
-
 # Cell layout for count/profile matrices. Storage is (36, 3) per node with
 # position 3 of the four two-node motifs permanently zero; the 104 live
 # cells in motif-major order define the profile vector layout.
 
-POSITIONS_PER_MOTIF = np.array([m.n_positions for m in MOTIFS], dtype=np.int64)
+POSITIONS_PER_MOTIF = np.array([m.n_nodes for m in MOTIFS], dtype=np.int64)
 POSITIONS_PER_MOTIF.setflags(write=False)
 
 LIVE_MASK = np.zeros((N_MOTIFS, 3), dtype=bool)
 for _m in MOTIFS:
-    LIVE_MASK[_m.index, : _m.n_positions] = True
+    LIVE_MASK[_m.index, : _m.n_nodes] = True
 LIVE_MASK.setflags(write=False)
 
 N_POSITIONED_CELLS = int(LIVE_MASK.sum())  # 104

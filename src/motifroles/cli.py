@@ -93,12 +93,8 @@ def _cmd_profile(args, read):
     return files, config, text
 
 
-def _read_profiles(args, read):
-    return read_profile_csv(io.StringIO(read("profiles", args.profiles), newline=""))
-
-
 def _cmd_cluster(args, read):
-    prof = _read_profiles(args, read)
+    prof = read_profile_csv(io.StringIO(read("profiles", args.profiles), newline=""))
     if args.k < 1 or args.k > max(prof.n_profiled, 1):
         raise ValueError(
             f"--k must be in 1..{prof.n_profiled} for {prof.n_profiled} profiled nodes"
@@ -118,7 +114,7 @@ def _cmd_cluster(args, read):
 def _cmd_render(args, read):
     if args.k is not None and not args.dendrogram:
         raise ValueError("--k needs --dendrogram: it sets the dendrogram's cut")
-    prof = _read_profiles(args, read)
+    prof = read_profile_csv(io.StringIO(read("profiles", args.profiles), newline=""))
     files = {}
     if args.dendrogram:
         dendro, names = parse_dendrogram(read("dendrogram", args.dendrogram))

@@ -248,6 +248,8 @@ def centroids(profiles, labels) -> np.ndarray:
     labels = _as_labels(labels)
     if x.shape[0] != labels.shape[0]:
         raise ValueError("profiles and labels cover different node counts")
+    if labels.min(initial=0) < 0:
+        raise ValueError("cluster labels must not be negative")
     out = np.zeros((labels.max(initial=-1) + 1, x.shape[1]))
     for c in range(out.shape[0]):
         members = labels == c

@@ -172,7 +172,7 @@ def classify_triple(
         sig.append((labels[e.source], labels[e.target]))
     motif = catalog.MOTIF_OF_SIGNATURE[tuple(sig)]
     positions = {1: e1.source, 2: e1.target}
-    if motif.n_positions == 3:
+    if motif.n_nodes == 3:
         positions[3] = next(n for n, lab in labels.items() if lab == "c")
     return motif, positions
 

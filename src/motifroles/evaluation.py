@@ -51,10 +51,6 @@ class EvalSummary:
     delta: float
     k: int
 
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
     def _column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.runs])
 
@@ -83,7 +79,7 @@ class EvalSummary:
         split = sum(r.split_ok for r in self.runs)
         return (f"two_node_mass_min worst {min(masses):.4f} mean "
                 f"{sum(masses) / len(masses):.4f}; "
-                f"position_split {split}/{self.n_runs}")
+                f"position_split {split}/{len(self.runs)}")
 
     def runs_csv_text(self) -> str:
         """One row per run, `runs.csv`."""

@@ -118,11 +118,6 @@ class TemporalGraph:
             for u, v, t in zip(self.src.tolist(), self.tgt.tolist(), self.time.tolist())
         ]
 
-    def time_span(self) -> tuple[float, float]:
-        if not self.n_edges:
-            raise ValueError("empty graph has no time span")
-        return float(self.time[0]), float(self.time[-1])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TemporalGraph):
             return NotImplemented

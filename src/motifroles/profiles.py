@@ -44,10 +44,6 @@ class ProfileMatrix:
     def n_profiled(self) -> int:
         return len(self.node_names)
 
-    @property
-    def width(self) -> int:
-        return self.vectors.shape[1]
-
     def value_of(self, name: str, column: str) -> float:
         cols = (
             catalog.POSITIONED_CELL_NAMES

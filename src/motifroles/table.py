@@ -2,7 +2,8 @@
 
 A table is UTF-8 text with a header row, "\\n" line ends and minimal
 quoting, so a cell holding a comma, a quote or a line break round-trips.
-A reader skips a leading UTF-8 byte-order mark.
+A reader given a path skips a leading UTF-8 byte-order mark; for the
+text of a file, `cli.main` strips the mark itself.
 A node-keyed table holds a node name in column 0 and one value in each
 other column. Its values repeat heavily, so it is written and read by
 distinct value: each one is formatted or converted once.

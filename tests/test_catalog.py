@@ -13,6 +13,7 @@ from motifroles.catalog import (
     LIVE_FLAT,
     LIVE_MASK,
     MOTIF_COLUMNS,
+    MOTIF_OF_SIGNATURE,
     MOTIFS,
     MotifId,
     N_CSV_CELLS,
@@ -24,7 +25,6 @@ from motifroles.catalog import (
     TWO_NODE_MOTIFS,
     catalog_table,
     catalog_table_csv,
-    motif_of_signature,
 )
 
 # Independent reconstruction of the grid: the first edge is always (a,b);
@@ -68,15 +68,13 @@ def test_signature_to_motif_is_a_bijection():
     sigs = {SIGNATURE_OF[m] for m in MOTIFS}
     assert len(sigs) == 36
     for m in MOTIFS:
-        assert motif_of_signature(SIGNATURE_OF[m]) == m
+        assert MOTIF_OF_SIGNATURE[SIGNATURE_OF[m]] == m
 
 
 def test_motif_of_signature_rejects_non_canonical():
-    with pytest.raises(ValueError):
-        motif_of_signature((("b", "a"), ("a", "b"), ("a", "b")))
-    with pytest.raises(ValueError):
-        # second node introduced must be b, not c
-        motif_of_signature((("a", "c"), ("a", "b"), ("a", "b")))
+    assert (("b", "a"), ("a", "b"), ("a", "b")) not in MOTIF_OF_SIGNATURE
+    # second node introduced must be b, not c
+    assert (("a", "c"), ("a", "b"), ("a", "b")) not in MOTIF_OF_SIGNATURE
 
 
 def test_motif_id_ordering_and_index():
@@ -95,9 +93,9 @@ def test_motif_id_formatting():
     m = MotifId(3, 4)
     assert m.short == "M34"
     assert str(m) == "M3,4"
-    assert m.n_nodes == 3 and m.n_positions == 3
+    assert m.n_nodes == 3
     t = MotifId(6, 1)
-    assert t.n_nodes == 2 and t.n_positions == 2
+    assert t.n_nodes == 2
 
 
 def test_cell_layout_constants():

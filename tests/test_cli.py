@@ -921,7 +921,7 @@ def test_unicode_line_separator_name_survives_the_pipeline(tmp_path):
 def test_names_with_trailing_or_odd_whitespace_survive_the_pipeline(tmp_path):
     # the dendrogram reader once stripped "x " to "x" and refused an empty name
     names = ["", "x ", "y\t", "z\x0c", "w\u2028"]
-    motif = next(m for m in catalog.MOTIFS if m.n_positions == 3)
+    motif = next(m for m in catalog.MOTIFS if m.n_nodes == 3)
     first = catalog.CSV_COLUMNS.index(f"{motif.short}_p1")
     # each live position of a motif sums to the same total over the nodes
     cells = [(1, 1, 1), (3, 0, 0), (0, 3, 0), (0, 0, 3), (2, 2, 2)]

@@ -393,6 +393,8 @@ def test_centroids_validation():
         centroids(pts, np.array([0]))
     with pytest.raises(ValueError, match="cluster 1 is empty"):
         centroids(pts, np.array([0, 2]))
+    with pytest.raises(ValueError, match="negative"):
+        centroids(pts, [-1, 0])
 
 
 def test_permutation_accuracy_examples():

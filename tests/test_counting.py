@@ -170,7 +170,7 @@ def test_fast_counter_matches_brute_force(seed, integer_times, exclude):
     rng = np.random.default_rng(seed)
     g = random_temporal_graph(rng, max_nodes=8, max_edges=25,
                               integer_times=integer_times)
-    lo, hi = g.time_span()
+    lo, hi = g.time[0], g.time[-1]
     delta = rng.uniform(0.0, (hi - lo) or 1.0) + 1e-9
     policy = "exclude-ties" if exclude else "seq-order"
     fast = count_motifs(g, delta, tie_policy=policy)
@@ -213,7 +213,7 @@ def test_time_scale_invariance(seed, factor):
 def test_delta_monotonicity(seed):
     rng = np.random.default_rng(seed)
     g = random_temporal_graph(rng, max_nodes=8, max_edges=25)
-    lo, hi = g.time_span()
+    lo, hi = g.time[0], g.time[-1]
     span = (hi - lo) or 1.0
     d1 = rng.uniform(0.0, span) + 1e-9
     d2 = d1 + rng.uniform(0.0, span)
@@ -276,7 +276,7 @@ def _cell_permutation(transform):
         for node in (x for edge in edges for x in edge):
             if node not in relabel:
                 relabel[node] = "abc"[len(relabel)]
-        image = catalog.motif_of_signature(tuple((relabel[s], relabel[t]) for s, t in edges))
+        image = catalog.MOTIF_OF_SIGNATURE[tuple((relabel[s], relabel[t]) for s, t in edges)]
         perm[i] = cells.index((image.index, "abc".index(relabel["abc"[position - 1]]) + 1))
     return perm
 
@@ -315,7 +315,7 @@ def test_counts_are_equivariant_under_time_and_direction_reversal(
     rng = np.random.default_rng(seed)
     g = random_temporal_graph(rng, max_nodes=8, max_edges=40,
                               integer_times=integer_times)
-    lo, hi = g.time_span()
+    lo, hi = g.time[0], g.time[-1]
     _assert_equivariant(g, rng.uniform(0.0, (hi - lo) or 1.0) + 1e-9, policy)
 
 
@@ -334,7 +334,7 @@ def test_per_motif_accounting(seed):
     from motifroles.catalog import MOTIFS
     position_sums = c.counts.sum(axis=0)
     for m in MOTIFS:
-        for p in range(m.n_positions):
+        for p in range(m.n_nodes):
             assert position_sums[m.index, p] == c.motif_totals[m.index]
         # dead position stays zero
         if m.n_nodes == 2:
@@ -443,7 +443,7 @@ def test_tiny_chunks_match_brute_force(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     g = random_temporal_graph(rng, max_nodes=5, max_edges=30,
                               integer_times=bool(seed % 2))
-    lo, hi = g.time_span()
+    lo, hi = g.time[0], g.time[-1]
     _assert_matches_oracle(g, 0.5 * (hi - lo) + 1.0)
 
 
@@ -487,7 +487,7 @@ def test_candidates_lie_between_instances_and_window_triples(seed, integer_times
     rng = np.random.default_rng(seed)
     g = random_temporal_graph(rng, max_nodes=10, max_edges=40,
                               integer_times=integer_times)
-    lo, hi = g.time_span()
+    lo, hi = g.time[0], g.time[-1]
     delta = rng.uniform(0.0, (hi - lo) or 1.0) + 1e-9
     t = g.time
     widths = [int(np.sum(t[i + 1:] - t[i] <= delta)) for i in range(g.n_edges)]

@@ -109,14 +109,6 @@ def test_serializer_keeps_full_precision(tmp_path):
     assert _round_trip(g, tmp_path / "edges.csv").time[0] == t
 
 
-def test_time_span():
-    g = TemporalGraph.from_named_edges([("A", "B", 3.0), ("B", "A", 11.0)])
-    assert g.time_span() == (3.0, 11.0)
-    empty = TemporalGraph.from_named_edges([])
-    with pytest.raises(ValueError):
-        empty.time_span()
-
-
 def _arc_graph(n, arcs):
     """Temporal graph on nodes 0..n-1 with one edge per arc, in arc order."""
     arcs = sorted(arcs)

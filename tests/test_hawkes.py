@@ -307,7 +307,7 @@ class TestSimulate:
         p = one_block_params(mu=0.5, horizon=20.0)
         net = simulate(p, seed=7)
         assert net.graph.n_edges > 0
-        lo, hi = net.graph.time_span()
+        lo, hi = net.graph.time[0], net.graph.time[-1]
         assert lo >= 0.0 and hi <= 20.0
 
     def test_event_times_strictly_increase_per_pair(self):
@@ -733,3 +733,99 @@ def test_time_rescaled_gaps_are_unit_exponential():
         gaps += rescaled_increments(params, simulate(params, seed))
     assert len(gaps) > 3000
     assert stats.kstest(gaps, "expon").pvalue > 0.01
+
+
+# The two checks below judge the sampler by formulas, not by earlier draws.
+# Both run on one shared set of simulations per scenario, with the labels
+# fixed to 10 + 10 nodes so that the excitation structure is built once.
+SAMPLER_CHECK_SEEDS = range(100)
+
+
+def excitation_structure(params, labels):
+    """Per cell u*n+v, the baseline rate, and per excitation entry the 0/1
+    matrix whose row c marks the cells an event on cell c excites.
+
+    Both are read off `intensity` (for an entry: that entry alone, zero
+    baseline, one-event history), so the kind rules keep one copy. Only the
+    cells of the entry's own block pair are asked. Diagonal cells have rate
+    0 and are never excited."""
+    n = params.n_nodes
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    mu = np.zeros(n * n)
+    for u, v in pairs:
+        mu[u * n + v] = intensity(params, [], (u, v), 0.0, labels)
+    zero = tuple((0.0,) * params.n_blocks for _ in range(params.n_blocks))
+    hits = []
+    for e in params.excitations:
+        one = dataclasses.replace(params, baseline=zero, excitations=(e,))
+        hit = np.zeros((n * n, n * n))
+        for u, v in pairs:
+            if (labels[u], labels[v]) == e.block_pair:
+                for src, tgt in pairs:
+                    hit[src * n + tgt, u * n + v] = intensity(
+                        one, [(src, tgt, 0.0)], (u, v), 1e-12, labels) > 0
+        hits.append(hit)
+    return mu, hits
+
+
+@pytest.fixture(scope="module", params=(1, 2))
+def sampler_runs(request):
+    """For scenario params with 10 + 10 fixed labels, per block pair: the
+    expected event count from the branching structure and, one row per
+    seed, the event counts N(T) and the martingale residuals
+    N(T) - Lambda(T), with the compensator Lambda in closed form from the
+    realised history."""
+    params = dataclasses.replace(scenario_params(request.param),
+                                 block_assignment=(0,) * 10 + (1,) * 10)
+    labels = params.block_assignment
+    n, n_blocks, horizon = params.n_nodes, params.n_blocks, params.horizon
+    mu, hits = excitation_structure(params, labels)
+    block = np.array(labels)
+    block_pair = (block[:, None] * n_blocks + block[None, :]).ravel()
+
+    def by_block_pair(per_cell):
+        return np.bincount(block_pair, weights=per_cell, minlength=n_blocks ** 2)
+
+    # K[target, source]: the expected direct offspring on target per source event
+    kernel = sum(e.alpha * hit.T for e, hit in zip(params.excitations, hits))
+    expected = np.linalg.solve(np.eye(n * n) - kernel, mu * horizon)
+    counts, residuals = [], []
+    for seed in SAMPLER_CHECK_SEEDS:
+        g = simulate(params, seed).graph
+        cell = g.src * n + g.tgt
+        count = np.bincount(cell, minlength=n * n)
+        compensator = mu * horizon
+        for e, hit in zip(params.excitations, hits):
+            # each event's kernel mass that has arrived by the horizon
+            arrived = -np.expm1(-e.beta * (horizon - g.time))
+            compensator = compensator + e.alpha * (
+                np.bincount(cell, weights=arrived, minlength=n * n) @ hit)
+        counts.append(by_block_pair(count))
+        residuals.append(by_block_pair(count - compensator))
+    return by_block_pair(expected), np.array(counts), np.array(residuals)
+
+
+def assert_within_4_standard_errors(per_seed, expected):
+    """The per-seed mean of each column lies within 4 standard errors of
+    `expected`; a column that never varies must equal it (to 1e-9, for
+    the solve's rounding)."""
+    mean = per_seed.mean(axis=0)
+    se = per_seed.std(axis=0, ddof=1) / math.sqrt(per_seed.shape[0])
+    assert np.all(np.abs(mean - expected) <= 4 * se + 1e-9), (mean, expected, se)
+
+
+def test_compensator_residuals_have_mean_zero_per_block_pair(sampler_runs):
+    # N(T) - Lambda(T) is a martingale at T for every pair, so its sum over
+    # a block pair has mean 0 (Ogata 1988). This judges which pair each
+    # event lands on as well as when; it holds for any horizon, unlike
+    # pooled per-pair compensator gaps, which the horizon truncates.
+    _, _, residuals = sampler_runs
+    assert_within_4_standard_errors(residuals, 0.0)
+
+
+def test_mean_counts_match_the_branching_structure(sampler_runs):
+    # E[N(T)] = (I - K)^-1 mu T up to terms of order 1/(beta T), which the
+    # horizons (12000 and 1600 against 1/beta = 1) make negligible
+    expected, counts, _ = sampler_runs
+    assert expected.sum() > 500
+    assert_within_4_standard_errors(counts, expected)

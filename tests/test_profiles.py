@@ -141,7 +141,7 @@ def test_filter_monotonicity(seed, lo, extra):
 def test_csv_round_trip(toy_counts):
     for build, width in ((build_positioned, 104), (build_positionless, 36)):
         p = build(toy_counts, min_motifs=0)
-        assert p.width == width
+        assert p.vectors.shape[1] == width
         back = read_profile_csv(io.StringIO(p.csv_text()))
         assert back.kind == p.kind
         assert back.node_names == p.node_names
