@@ -153,6 +153,26 @@ def test_render_svgs_are_pinned(tmp_path, toy_csv, k, digests):
             for p in rdir.glob("*.svg")} == {**digests, "node_A.svg": NODE_A_SVG}
 
 
+POSITIONLESS_NODE_A_SVG = "76114411723d38a26ed77a679c603f5486acd09a7bc40decec784898a8f8287e"
+
+
+@pytest.mark.parametrize("k, digests", [
+    ("1", {"dendrogram.svg": "4cb6ef951f052916f20525e7b5a073a6f5024ffab867417e199ecaf21b42c3b2",
+           "centroid_0.svg": "8afabaf2eec6f8eb620f076379e08684f3efea15de4e89911c3eba070009a67e"}),
+    ("2", {"dendrogram.svg": "60c824ffe28f2027ef67cc8113ae078d6212be79d5c745f16dcac94cb129ce33",
+           "centroid_0.svg": "c355492f92d6219b6f22f1135069027a215e66200f7fae9021858912583369ad",
+           "centroid_1.svg": "5ad9a9b9531d8eb326a3afd0ad99868bee0793592d4256d792a4c1a05f38f5a5"}),
+])
+def test_positionless_render_svgs_are_pinned(tmp_path, toy_csv, k, digests):
+    _, pdir, kdir = run_pipeline(tmp_path, toy_csv, positionless=True)
+    rdir = tmp_path / "r"
+    assert main(["render", "--profiles", str(pdir / "profiles.csv"),
+                 "--dendrogram", str(kdir / "dendrogram.txt"),
+                 "--k", k, "--node", "A", "--out", str(rdir)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in rdir.glob("*.svg")} == {**digests, "node_A.svg": POSITIONLESS_NODE_A_SVG}
+
+
 def test_render_node_only(tmp_path, toy_csv):
     _, pdir, _ = run_pipeline(tmp_path, toy_csv)
     rdir = tmp_path / "r"
