@@ -99,7 +99,7 @@ def _cmd_cluster(args, read):
         raise ValueError(
             f"--k must be in 1..{prof.n_profiled} for {prof.n_profiled} profiled nodes"
         )
-    dendro = ward_linkage(prof)
+    dendro = ward_linkage(prof.vectors)
     labels = cut(dendro, args.k)
     files = {
         "dendrogram.txt": serialize_dendrogram(dendro, prof.node_names),
@@ -123,10 +123,10 @@ def _cmd_render(args, read):
         k = args.k if args.k is not None else 1
         labels = cut(dendro, k)
         files["dendrogram.svg"] = dendrogram_svg(dendro, names, labels)
-        means = centroids(prof, labels)
+        means = centroids(prof.vectors, labels)
         for c in range(k):
             files[f"centroid_{c}.svg"] = heatmap_svg(
-                means[c], prof.kind, f"cluster {c} centroid ({prof.kind})"
+                means[c], f"cluster {c} centroid ({prof.kind})"
             )
     for name in args.node or []:
         if name not in prof.node_names:
@@ -139,7 +139,7 @@ def _cmd_render(args, read):
                 "the limit is 255 bytes"
             )
         files[fname] = heatmap_svg(
-            prof.vectors[row], prof.kind, f"node {name} ({prof.kind})"
+            prof.vectors[row], f"node {name} ({prof.kind})"
         )
     if not files:
         raise ValueError("nothing to render: pass --dendrogram and/or --node")
@@ -200,7 +200,7 @@ def _cmd_eval(args, read):
     files = {"runs.csv": summary.runs_csv_text(), "summary.csv": summary.report()}
     config = {
         "source": source,
-        "delta": summary.delta,
+        "delta": delta,
         "runs": args.runs,
         "base_seed": args.seed,
         "k": args.k,

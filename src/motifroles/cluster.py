@@ -88,8 +88,7 @@ class Dendrogram:
 
 
 def _as_points(profiles) -> np.ndarray:
-    vectors = getattr(profiles, "vectors", profiles)
-    x = np.asarray(vectors, dtype=np.float64)
+    x = np.asarray(profiles, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
@@ -156,7 +155,7 @@ def _distances(x: np.ndarray) -> np.ndarray:
 def ward_linkage(profiles) -> Dendrogram:
     """Agglomerate with Ward's criterion via Lance-Williams updates.
 
-    Accepts a ProfileMatrix or a plain (n, d) array. The Dendrogram it
+    Takes an (n, d) array of row vectors. The Dendrogram it
     returns checks on every run that no height is decreasing; a NaN
     height, which only overflowing distances can give, raises ValueError.
 

@@ -48,8 +48,6 @@ class RunResult:
 @dataclass(frozen=True)
 class EvalSummary:
     runs: tuple[RunResult, ...]
-    delta: float
-    k: int
 
     def _column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.runs])
@@ -120,9 +118,9 @@ def evaluate_run(
                     "cannot cluster"
                 )
             truth = net.labels[[name_to_index[nm] for nm in prof.node_names]]
-            clustering = cut(ward_linkage(prof), k)
+            clustering = cut(ward_linkage(prof.vectors), k)
             results[kind] = permutation_accuracy(clustering, truth)
-        means = centroids(prof, clustering)
+        means = centroids(prof.vectors, clustering)
         leans_p1 = {bool(m[REPLY_P1].sum() > m[REPLY_P2].sum()) for m in means}
         return RunResult(
             seed=seed,
@@ -168,4 +166,4 @@ def evaluate_scenario(
         pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=context)
         with pool:
             runs = tuple(pool.map(run, seeds))
-    return EvalSummary(runs=runs, delta=float(delta), k=k)
+    return EvalSummary(runs)

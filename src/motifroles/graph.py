@@ -15,10 +15,6 @@ from .table import table_text
 EDGE_LIST_HEADER = ("source", "target", "timestamp")
 
 
-class EdgeListError(ValueError):
-    """Malformed edge-list input; the message carries the 1-based line number."""
-
-
 @dataclass(frozen=True)
 class TemporalEdge:
     source: int
@@ -148,39 +144,39 @@ def parse_edge_list(source) -> TemporalGraph:
     try:
         header = next(reader, None)
         if header is None:
-            raise EdgeListError("line 1: missing header")
+            raise ValueError("line 1: missing header")
         if tuple(h.strip().lower() for h in header) != EDGE_LIST_HEADER:
-            raise EdgeListError(
+            raise ValueError(
                 f"line 1: expected header {','.join(EDGE_LIST_HEADER)!r}"
             )
         for row in reader:
             if len(row) != 3:
-                raise EdgeListError(
+                raise ValueError(
                     f"line {reader.line_num}: expected 3 fields, got {len(row)}"
                 )
             s, t, raw_ts = row
             s = s.strip()
             t = t.strip()
             if not s or not t:
-                raise EdgeListError(f"line {reader.line_num}: empty node name")
+                raise ValueError(f"line {reader.line_num}: empty node name")
             raw_ts = raw_ts.strip()
             try:
                 ts = float(raw_ts)
             except ValueError:
-                raise EdgeListError(
+                raise ValueError(
                     f"line {reader.line_num}: bad timestamp {raw_ts!r}"
                 ) from None
             if not math.isfinite(ts):
-                raise EdgeListError(
+                raise ValueError(
                     f"line {reader.line_num}: non-finite timestamp {raw_ts!r}"
                 )
             if s == t:
-                raise EdgeListError(f"line {reader.line_num}: self-loop on node {s!r}")
+                raise ValueError(f"line {reader.line_num}: self-loop on node {s!r}")
             src.append(names.setdefault(s, len(names)))
             tgt.append(names.setdefault(t, len(names)))
             time.append(ts)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise EdgeListError(f"line {reader.line_num}: {exc}") from None
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return TemporalGraph(tuple(names), src, tgt, time)
 
 

@@ -2,8 +2,9 @@
 
 A node's positioned profile is its 104-vector of motif-position counts
 normalized to sum to one; the positionless variant first sums positions
-within each motif, giving 36 entries. Nodes whose total participation
-falls below the filter threshold (or is zero) are dropped and reported.
+within each motif, giving 36 entries. A profile's kind is its width.
+Nodes whose total participation falls below the filter threshold (or is
+zero) are dropped and reported.
 """
 
 from __future__ import annotations
@@ -16,22 +17,18 @@ from . import catalog
 from .counting import PositionCountMatrix
 from .table import node_table_text, read_table
 
-PROFILE_KINDS = ("positioned", "positionless")
-
 
 @dataclass(frozen=True)
 class ProfileMatrix:
-    kind: str
     node_names: tuple[str, ...]
     vectors: np.ndarray  # (n, 104) positioned or (n, 36) positionless
-    dropped: tuple[tuple[str, int], ...]  # (name, total) for filtered nodes
+    dropped: tuple[tuple[str, int], ...] = ()  # (name, total) for filtered nodes
 
     def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"bad profile kind {self.kind!r}")
-        width = catalog.N_POSITIONED_CELLS if self.kind == "positioned" else catalog.N_MOTIFS
-        if self.vectors.shape != (len(self.node_names), width):
-            raise ValueError(f"bad vectors shape {self.vectors.shape}")
+        shape = self.vectors.shape
+        if (len(shape) != 2 or shape[0] != len(self.node_names)
+                or shape[1] not in (catalog.N_POSITIONED_CELLS, catalog.N_MOTIFS)):
+            raise ValueError(f"bad vectors shape {shape}")
         if np.any(self.vectors < 0.0):
             raise ValueError("profile entries must be non-negative")
         if self.n_profiled and not np.allclose(
@@ -39,6 +36,13 @@ class ProfileMatrix:
         ):
             raise ValueError("every profile must sum to 1")
         self.vectors.setflags(write=False)
+
+    @property
+    def kind(self) -> str:
+        """Set by the width: positioned for 104 columns, positionless for 36."""
+        if self.vectors.shape[1] == catalog.N_POSITIONED_CELLS:
+            return "positioned"
+        return "positionless"
 
     @property
     def n_profiled(self) -> int:
@@ -58,8 +62,7 @@ class ProfileMatrix:
         """The profile table, `profiles.csv`."""
         if self.kind == "positioned":
             header = ("node",) + catalog.CSV_COLUMNS
-            wide = np.zeros((self.n_profiled, catalog.N_CSV_CELLS))
-            wide[:, catalog.LIVE_FLAT] = self.vectors
+            wide = catalog.spread_positioned(self.vectors)
         else:
             header = ("node",) + catalog.MOTIF_COLUMNS
             wide = self.vectors
@@ -72,54 +75,38 @@ class ProfileMatrix:
         return node_table_text(("node", "total_participation"), names, totals[:, None])
 
 
-def _build(counts: PositionCountMatrix, min_motifs: int, kind: str) -> ProfileMatrix:
+def _build(counts: PositionCountMatrix, min_motifs: int, raw: np.ndarray) -> ProfileMatrix:
+    """Normalize each node's row of `raw` cells by its participation."""
     if min_motifs < 0:
         raise ValueError(f"min_motifs must be non-negative, got {min_motifs}")
     totals = counts.node_totals()
     keep = totals >= max(int(min_motifs), 1)  # zero-participation always drops
-    if kind == "positioned":
-        raw = counts.counts.reshape(counts.n_nodes, catalog.N_CSV_CELLS)
-        raw = raw[:, catalog.LIVE_FLAT]
-    else:
-        raw = counts.counts.sum(axis=2)
     kept = np.flatnonzero(keep)
     vectors = raw[kept].astype(np.float64) / totals[kept, None]
     dropped = tuple(
         (counts.node_names[i], int(totals[i])) for i in np.flatnonzero(~keep)
     )
-    return ProfileMatrix(
-        kind=kind,
-        node_names=tuple(counts.node_names[i] for i in kept),
-        vectors=vectors,
-        dropped=dropped,
-    )
+    return ProfileMatrix(tuple(counts.node_names[i] for i in kept), vectors, dropped)
 
 
 def build_positioned(counts: PositionCountMatrix, min_motifs: int = 0) -> ProfileMatrix:
-    return _build(counts, min_motifs, "positioned")
+    raw = counts.counts.reshape(counts.n_nodes, catalog.N_CSV_CELLS)
+    return _build(counts, min_motifs, raw[:, catalog.LIVE_FLAT])
 
 
 def build_positionless(counts: PositionCountMatrix, min_motifs: int = 0) -> ProfileMatrix:
-    return _build(counts, min_motifs, "positionless")
+    return _build(counts, min_motifs, counts.counts.sum(axis=2))
 
 
 def read_profile_csv(source) -> ProfileMatrix:
-    """Load a profile CSV; the kind is recovered from the header."""
+    """Load a profile CSV; the header sets the width, and so the kind."""
     positioned = ("node",) + catalog.CSV_COLUMNS
     header, names, rows = read_table(
         source, "profile CSV", [positioned, ("node",) + catalog.MOTIF_COLUMNS], float
     )
-    kind = "positioned" if header == positioned else "positionless"
-    wide = np.array(rows, dtype=np.float64).reshape(len(names), len(header) - 1)
-    if kind == "positioned":
-        if wide[:, ~catalog.LIVE_MASK.reshape(-1)].any():
+    vectors = np.array(rows, dtype=np.float64).reshape(len(names), len(header) - 1)
+    if header == positioned:
+        if vectors[:, ~catalog.LIVE_MASK.reshape(-1)].any():
             raise ValueError("profile CSV: nonzero value in a structurally dead column")
-        vectors = wide[:, catalog.LIVE_FLAT]
-    else:
-        vectors = wide
-    return ProfileMatrix(
-        kind=kind,
-        node_names=names,
-        vectors=vectors,
-        dropped=(),
-    )
+        vectors = vectors[:, catalog.LIVE_FLAT]
+    return ProfileMatrix(names, vectors)

@@ -77,29 +77,22 @@ def _grid_svg(parts, x0, y0, values, vmax, caption):
             )
 
 
-def heatmap_svg(vector, kind: str, title: str) -> str:
-    """Profile heatmap; one 6x6 grid per position (positioned) or a single
-    grid (positionless). The color scale is shared across grids."""
+def heatmap_svg(vector, title: str) -> str:
+    """Profile heatmap: one 6x6 grid per position for a positioned vector
+    (length 104), a single grid for a positionless one (length 36). The
+    color scale is shared across grids."""
     vec = np.asarray(vector, dtype=np.float64)
-    if kind == "positioned":
-        if vec.shape != (catalog.N_POSITIONED_CELLS,):
-            raise ValueError(f"positioned vector must have length "
-                             f"{catalog.N_POSITIONED_CELLS}, got {vec.shape}")
-        wide = np.zeros(catalog.N_CSV_CELLS)
-        wide[catalog.LIVE_FLAT] = vec
-        grids = [
-            (wide.reshape(36, 3)[:, p].reshape(6, 6), f"position {p + 1}")
-            for p in range(3)
-        ]
-    elif kind == "positionless":
-        if vec.shape != (catalog.N_MOTIFS,):
-            raise ValueError(
-                f"positionless vector must have length {catalog.N_MOTIFS}, got {vec.shape}"
-            )
+    if vec.shape == (catalog.N_POSITIONED_CELLS,):
+        cells = catalog.spread_positioned(vec).reshape(6, 6, 3)
+        grids = [(cells[:, :, p], f"position {p + 1}") for p in range(3)]
+    elif vec.shape == (catalog.N_MOTIFS,):
         grids = [(vec.reshape(6, 6), "all positions")]
     else:
-        raise ValueError(f"bad profile kind {kind!r}")
-    vmax = float(vec.max()) if vec.size else 0.0
+        raise ValueError(
+            f"profile vector must have length {catalog.N_POSITIONED_CELLS} or "
+            f"{catalog.N_MOTIFS}, got shape {vec.shape}"
+        )
+    vmax = float(vec.max())
 
     margin_left = 30
     margin_top = 64

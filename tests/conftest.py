@@ -13,6 +13,9 @@ from motifroles.graph import TemporalGraph
 # span this yields exactly four motif instances, one each of
 # M3,3 / M4,1 / M4,2 / M5,1.
 TOY_EDGES = [("A", "B", 1.0), ("A", "C", 2.0), ("B", "A", 3.0), ("A", "B", 4.0)]
+TOY_CSV = "source,target,timestamp\n" + "".join(
+    f"{s},{t},{x:g}\n" for s, t, x in TOY_EDGES
+)
 TOY_DELTA = 10.0
 
 # (node, motif, position) -> 1 for every live cell of the toy network.

@@ -26,13 +26,10 @@ from motifroles.hawkes import (
 from motifroles.profiles import ProfileMatrix
 from conftest import (
     NON_FINITE_PARAMS,
+    TOY_CSV,
     TOY_EDGES,
     check_manifest,
     one_block_params_json,
-)
-
-TOY_CSV = "source,target,timestamp\n" + "".join(
-    f"{s},{t},{x:g}\n" for s, t, x in TOY_EDGES
 )
 
 
@@ -787,8 +784,8 @@ def sparse_count_profiles(n_rows, seed, draws=5, copies=0):
             row[(step() >> 33) % 24 * 4] += 1 + (x >> 20) % 3
         rows.append(row)
     counts = np.array(rows, dtype=np.float64)
-    return ProfileMatrix("positioned", tuple(f"n{i}" for i in range(n_rows)),
-                         counts / counts.sum(axis=1, keepdims=True), ())
+    return ProfileMatrix(tuple(f"n{i}" for i in range(n_rows)),
+                         counts / counts.sum(axis=1, keepdims=True))
 
 
 def test_cluster_dendrograms_are_pinned(tmp_path, toy_csv):

@@ -8,16 +8,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from motifroles.graph import (
-    EdgeListError,
     TemporalGraph,
     edge_list_text,
     filter_nodes,
     largest_scc,
     parse_edge_list,
 )
+from conftest import TOY_CSV
 from synthdata import random_digraph_arcs, random_temporal_graph
-
-TOY_CSV = "source,target,timestamp\nA,B,1\nA,C,2\nB,A,3\nA,B,4\n"
 
 
 def test_parse_toy_network():
@@ -35,26 +33,26 @@ def test_parse_header_only():
 
 
 def test_parse_rejects_self_loop_with_line_number():
-    with pytest.raises(EdgeListError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         parse_edge_list(io.StringIO("source,target,timestamp\nA,A,1\n"))
 
 
 def test_parse_rejects_bad_timestamp():
-    with pytest.raises(EdgeListError, match="line 3"):
+    with pytest.raises(ValueError, match="line 3"):
         parse_edge_list(io.StringIO("source,target,timestamp\nA,B,1\nB,A,xyz\n"))
-    with pytest.raises(EdgeListError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         parse_edge_list(io.StringIO("source,target,timestamp\nA,B,inf\n"))
 
 
 def test_parse_rejects_wrong_field_count():
-    with pytest.raises(EdgeListError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         parse_edge_list(io.StringIO("source,target,timestamp\nA,B\n"))
 
 
 def test_parse_rejects_missing_or_wrong_header():
-    with pytest.raises(EdgeListError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         parse_edge_list(io.StringIO("src,dst,when\nA,B,1\n"))
-    with pytest.raises(EdgeListError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         parse_edge_list(io.StringIO(""))
 
 
@@ -289,16 +287,16 @@ HEADER = "source,target,timestamp\n"
     ],
 )
 def test_parse_error_messages(rows, message):
-    with pytest.raises(EdgeListError) as info:
+    with pytest.raises(ValueError) as info:
         parse_edge_list(io.StringIO(HEADER + rows))
     assert str(info.value) == message
 
 
 def test_parse_header_messages():
-    with pytest.raises(EdgeListError) as info:
+    with pytest.raises(ValueError) as info:
         parse_edge_list(io.StringIO(""))
     assert str(info.value) == "line 1: missing header"
-    with pytest.raises(EdgeListError) as info:
+    with pytest.raises(ValueError) as info:
         parse_edge_list(io.StringIO("src,dst,when\n"))
     assert str(info.value) == "line 1: expected header 'source,target,timestamp'"
 
@@ -315,7 +313,7 @@ def test_parse_header_messages():
 def test_parse_reports_the_first_fault_of_a_row(row, message):
     # checks run in order: width, empty name, bad and non-finite
     # timestamp, self-loop
-    with pytest.raises(EdgeListError) as info:
+    with pytest.raises(ValueError) as info:
         parse_edge_list(io.StringIO(HEADER + row))
     assert str(info.value) == f"line 2: {message}"
 
@@ -323,7 +321,7 @@ def test_parse_reports_the_first_fault_of_a_row(row, message):
 def test_parse_line_numbers_count_physical_lines():
     # a quoted name spanning two lines moves every later line number down
     text = HEADER + '"A\nX",B,1\nB,C,2\nC,C,3\n'
-    with pytest.raises(EdgeListError) as info:
+    with pytest.raises(ValueError) as info:
         parse_edge_list(io.StringIO(text))
     assert str(info.value) == "line 5: self-loop on node 'C'"
     g = parse_edge_list(io.StringIO(HEADER + '"A\nX",B,1\n'))

@@ -675,29 +675,14 @@ class TestNodeLimit:
 def rescaled_increments(params, net):
     """Compensator increments between consecutive events, from the formula.
 
-    The pairs an event excites under each entry are read off `intensity`
-    (one entry, zero baseline, one-event history), and the summed
-    intensity is integrated in closed form between events. Under a
-    correct sampler the increments are i.i.d. Exp(1) (time-rescaling)."""
-    labels = net.labels.tolist()
+    The baseline and the cells an event excites under each entry come from
+    `excitation_structure`, and the summed intensity is integrated in
+    closed form between events. Under a correct sampler the increments are
+    i.i.d. Exp(1) (time-rescaling)."""
     n = params.n_nodes
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    mu_sum = sum(intensity(params, [], pair, 0.0, labels) for pair in pairs)
-    zero = tuple((0.0,) * params.n_blocks for _ in range(params.n_blocks))
-    alone = [dataclasses.replace(params, baseline=zero, excitations=(e,))
-             for e in params.excitations]
-    fanout: dict = {}
-
-    def excited(src, tgt):
-        if (src, tgt) not in fanout:
-            fanout[src, tgt] = [
-                sum(intensity(one, [(src, tgt, 0.0)], pair, 1e-12, labels) > 0
-                    for pair in pairs)
-                for one in alone
-            ]
-        return fanout[src, tgt]
-
-    level = [0.0] * len(alone)
+    mu, hits = excitation_structure(params, net.labels.tolist())
+    mu_sum = mu.sum()
+    level = [0.0] * len(hits)
     t_prev = 0.0
     out = []
     for src, tgt, t in zip(net.graph.src.tolist(), net.graph.tgt.tolist(),
@@ -709,8 +694,8 @@ def rescaled_increments(params, net):
             inc += level[i] * (1.0 - decay) / e.beta
             level[i] *= decay
         out.append(inc)
-        for i, (e, k) in enumerate(zip(params.excitations, excited(src, tgt))):
-            level[i] += k * e.alpha * e.beta
+        for i, (e, hit) in enumerate(zip(params.excitations, hits)):
+            level[i] += hit[src * n + tgt].sum() * e.alpha * e.beta
         t_prev = t
     return out
 

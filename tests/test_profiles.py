@@ -201,5 +201,10 @@ def test_value_of_unknown_column(toy_counts):
 
 
 def test_profile_matrix_validation():
-    with pytest.raises(ValueError):
-        ProfileMatrix("positioned", ("A",), np.full((1, 104), 0.5), ())
+    with pytest.raises(ValueError, match="sum to 1"):
+        ProfileMatrix(("A",), np.full((1, 104), 0.5))
+    # the width sets the kind: 104 positioned cells or 36 motifs, no other
+    for bad in (np.full((1, 35), 1 / 35), np.full((1, 108), 1 / 108),
+                np.full(36, 1 / 36)):
+        with pytest.raises(ValueError, match="bad vectors shape"):
+            ProfileMatrix(("A",), bad)

@@ -26,15 +26,15 @@ def cell_fills(svg_text):
 
 def test_heatmap_is_valid_xml_and_deterministic(toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
-    a = heatmap_svg(p.vectors[0], "positioned", "node A")
-    b = heatmap_svg(p.vectors[0], "positioned", "node A")
+    a = heatmap_svg(p.vectors[0], "node A")
+    b = heatmap_svg(p.vectors[0], "node A")
     assert a == b
     ET.fromstring(a)  # raises on malformed markup
 
 
 def test_positioned_heatmap_has_three_grids(toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
-    svg = heatmap_svg(p.vectors[0], "positioned", "node A")
+    svg = heatmap_svg(p.vectors[0], "node A")
     fills = cell_fills(svg)
     assert len(fills) == 3 * 36
     assert "position 1" in svg and "position 2" in svg and "position 3" in svg
@@ -43,7 +43,7 @@ def test_positioned_heatmap_has_three_grids(toy_counts):
 def test_node_a_shades_exactly_its_four_position1_cells(toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
     a_vec = p.vectors[list(p.node_names).index("A")]
-    fills = cell_fills(heatmap_svg(a_vec, "positioned", "node A"))
+    fills = cell_fills(heatmap_svg(a_vec, "node A"))
     pos1, pos2, pos3 = fills[:36], fills[36:72], fills[72:]
     shaded = [f for f in pos1 if f != "#ffffff"]
     assert len(shaded) == 4
@@ -60,7 +60,7 @@ def test_node_a_shades_exactly_its_four_position1_cells(toy_counts):
 
 def test_positionless_heatmap_single_grid(toy_counts):
     p = build_positionless(toy_counts, min_motifs=0)
-    svg = heatmap_svg(p.vectors[0], "positionless", "node A, positionless")
+    svg = heatmap_svg(p.vectors[0], "node A, positionless")
     fills = cell_fills(svg)
     assert len(fills) == 36
     assert "all positions" in svg
@@ -68,28 +68,26 @@ def test_positionless_heatmap_single_grid(toy_counts):
 
 def test_uniform_profile_renders_uniformly():
     vec = np.full(36, 1.0 / 36)
-    fills = cell_fills(heatmap_svg(vec, "positionless", "uniform"))
+    fills = cell_fills(heatmap_svg(vec, "uniform"))
     assert len(set(fills)) == 1
     assert fills[0] != "#ffffff"
 
 
 def test_all_zero_vector_renders_blank():
     # degenerate input: stays white rather than dividing by zero
-    fills = cell_fills(heatmap_svg(np.zeros(36), "positionless", "empty"))
+    fills = cell_fills(heatmap_svg(np.zeros(36), "empty"))
     assert set(fills) == {"#ffffff"}
 
 
 def test_heatmap_rejects_bad_input():
-    with pytest.raises(ValueError):
-        heatmap_svg(np.zeros(36), "positioned", "wrong width")
-    with pytest.raises(ValueError):
-        heatmap_svg(np.zeros(104), "positionless", "wrong width")
-    with pytest.raises(ValueError):
-        heatmap_svg(np.zeros(104), "sideways", "bad kind")
+    # the length sets the layout: 104 positioned cells or 36 motifs
+    for bad in (np.zeros(35), np.zeros(108), np.zeros((1, 36))):
+        with pytest.raises(ValueError, match="length 104 or 36"):
+            heatmap_svg(bad, "wrong shape")
 
 
 def test_heatmap_title_is_escaped():
-    svg = heatmap_svg(np.full(36, 1.0 / 36), "positionless", "a <b> & c")
+    svg = heatmap_svg(np.full(36, 1.0 / 36), "a <b> & c")
     ET.fromstring(svg)
     assert "a &lt;b&gt; &amp; c" in svg
 

@@ -100,5 +100,5 @@ def test_node_table_text_equals_the_generic_writer(table):
 
 
 def test_dropped_csv_without_dropped_nodes_is_its_header():
-    empty = ProfileMatrix("positionless", (), np.zeros((0, 36)), dropped=())
+    empty = ProfileMatrix((), np.zeros((0, 36)))
     assert empty.dropped_csv_text() == "node,total_participation\n"
