@@ -143,15 +143,6 @@ N_CSV_CELLS = N_MOTIFS * 3  # 108, dead cells written as zero
 LIVE_FLAT = np.flatnonzero(LIVE_MASK.reshape(-1))
 LIVE_FLAT.setflags(write=False)
 
-
-def spread_positioned(cells) -> np.ndarray:
-    """Positioned cells, shape (..., 104), laid out on the 108 cells of the
-    motif x position grid (index motif * 3 + position - 1), dead cells zero."""
-    cells = np.asarray(cells)
-    wide = np.zeros(cells.shape[:-1] + (N_CSV_CELLS,))
-    wide[..., LIVE_FLAT] = cells
-    return wide
-
 CELL_MOTIF_INDEX = np.repeat(np.arange(N_MOTIFS), POSITIONS_PER_MOTIF)
 CELL_MOTIF_INDEX.setflags(write=False)
 CELL_POSITION = np.concatenate([np.arange(p) for p in POSITIONS_PER_MOTIF]) + 1
@@ -166,6 +157,14 @@ POSITIONED_CELL_NAMES: tuple[str, ...] = tuple(
 )
 
 MOTIF_COLUMNS: tuple[str, ...] = tuple(m.short for m in MOTIFS)
+
+
+def spread_positioned(cells: np.ndarray) -> np.ndarray:
+    """Positioned cells, shape (..., 104), laid out on the 108 cells of the
+    motif x position grid (index motif * 3 + position - 1), dead cells zero."""
+    wide = np.zeros(cells.shape[:-1] + (N_CSV_CELLS,))
+    wide[..., LIVE_FLAT] = cells
+    return wide
 
 
 # Integer-coded lookup used by the windowed counting kernel: letters code
