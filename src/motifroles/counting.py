@@ -217,14 +217,18 @@ def _window_ends(time: np.ndarray, delta: float) -> np.ndarray:
     first = np.flatnonzero(starts)
     uniq = time[first]
     last = np.append(first[1:], time.shape[0]) - 1
-    b = np.searchsorted(uniq, time + delta, side="right") - 1
-    uniq = np.append(uniq, np.inf)  # sentinel, never inside a window
-    while True:
-        up = uniq[b + 1] - time <= delta
-        down = uniq[b] - time > delta
-        if not (up.any() or down.any()):
-            return last[b]
-        b = b + up - down
+    # A sum or difference overflows to +inf only where its exact value is
+    # above the float range, and so above delta: each comparison keeps its
+    # truth, and the overflow is no fault.
+    with np.errstate(over="ignore"):
+        b = np.searchsorted(uniq, time + delta, side="right") - 1
+        uniq = np.append(uniq, np.inf)  # sentinel, never inside a window
+        while True:
+            up = uniq[b + 1] - time <= delta
+            down = uniq[b] - time > delta
+            if not (up.any() or down.any()):
+                return last[b]
+            b = b + up - down
 
 
 def _blocks(weights: np.ndarray):

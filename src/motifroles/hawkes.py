@@ -260,7 +260,9 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
     Blocks are drawn first (unless fixed in params), then events. The
     upper bound is refreshed after every accepted or rejected candidate;
     validity of the bound is checked at each candidate. Above
-    MAX_SIMULATED_NODES nodes it raises ValueError before it allocates.
+    MAX_SIMULATED_NODES nodes it raises ValueError before it allocates,
+    and on a baseline whose total over the ordered pairs is not finite
+    before it draws an event.
     """
     params.validate()
     n = params.n_nodes
@@ -277,7 +279,13 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
         labels = labels.astype(np.int64)
     mu = params.baseline_array()[np.ix_(labels, labels)]
     np.fill_diagonal(mu, 0.0)
-    mu_sum = float(mu.sum())
+    with np.errstate(over="ignore"):  # an infinite total is refused below
+        mu_sum = float(mu.sum())
+    if not math.isfinite(mu_sum):
+        raise ValueError(
+            f"the baseline's total rate over the ordered pairs is {mu_sum!r}; "
+            "it must be finite"
+        )
 
     # Entries of one kind and block pair hit the same cells, so their
     # alpha * beta are summed in entry order; a sum of 0 changes nothing.

@@ -863,6 +863,19 @@ def test_simulate_refuses_an_infinite_beta_or_horizon(tmp_path, capsys, alpha, b
     assert not out.exists()
 
 
+def test_simulate_refuses_an_infinite_baseline_total(tmp_path, capsys):
+    pfile = tmp_path / "params.json"
+    pfile.write_text(json.dumps({"n_nodes": 6, "block_probs": [1.0], "horizon": 10.0,
+                                 "baseline": [[1e308]]}))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--params", str(pfile), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the baseline's total rate over the ordered pairs is inf; "
+        "it must be finite\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value, kind", [
     ("n_nodes", "20", "str"),
     ("max_events", True, "bool"),

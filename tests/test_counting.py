@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,21 @@ def test_float_window_boundary_uses_subtraction():
     )
     _assert_matches_oracle(g, 0.3)
     assert count_motifs(g, 0.3).total_instances() == 0
+
+
+@pytest.mark.parametrize("delta", [1e308, 1.5e308, np.finfo(np.float64).max])
+def test_windows_past_the_float_range_count_right_without_a_warning(delta):
+    # time + delta and time[k] - time[i] overflow to inf here; each is
+    # above delta exactly where its exact value is
+    big = float(np.finfo(np.float64).max)
+    g = TemporalGraph.from_named_edges(
+        [("A", "B", -1e308), ("B", "A", 0.0), ("A", "B", 1e308), ("A", "C", 1e308),
+         ("C", "A", big), ("B", "C", -big), ("C", "B", -big)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_matches_oracle(g, delta)
+        assert count_motifs(g, delta).total_instances() > 0
 
 
 def test_window_ends_match_subtraction_predicate():

@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,18 @@ class TestValidation:
         # NaN passed `alpha < 0`, and stability_margin() then read 1.0
         with pytest.raises(ValueError, match="alpha must be non-negative"):
             Excitation("self", (0, 0), alpha=float("nan"), beta=1.0)
+
+    def test_infinite_baseline_total_refused_before_any_draw(self):
+        # each rate is finite but their total over the 30 ordered pairs is
+        # not; the run once warned in the cumsum and then failed at t = 0
+        # with "simulation exceeded max_events"
+        p = BlockHawkesParams(n_nodes=6, block_probs=(1.0,), horizon=10.0,
+                              baseline=((1e308,),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the baseline's total rate over "
+                                                 "the ordered pairs is inf"):
+                simulate(p, 0)
 
     def test_nan_block_prob_rejected_with_fixed_labels(self):
         # NaN passed both the minimum and the sum check, so simulate ran on
