@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 import urllib.parse
@@ -48,7 +47,7 @@ MAX_CANDIDATES = 10**8
 
 
 def _cmd_count(args, read):
-    graph = parse_edge_list(io.StringIO(read("edges", args.input), newline=""))
+    graph = parse_edge_list(read("edges", args.input))
     scc_kept = None
     if args.scc:
         component = largest_scc(graph)
@@ -82,7 +81,7 @@ def _cmd_count(args, read):
 
 
 def _cmd_profile(args, read):
-    counts = read_count_csv(io.StringIO(read("counts", args.counts), newline=""))
+    counts = read_count_csv(read("counts", args.counts))
     builder = build_positionless if args.positionless else build_positioned
     prof = builder(counts, min_motifs=args.min_motifs)
     if prof.n_profiled == 0:
@@ -94,7 +93,7 @@ def _cmd_profile(args, read):
 
 
 def _cmd_cluster(args, read):
-    prof = read_profile_csv(io.StringIO(read("profiles", args.profiles), newline=""))
+    prof = read_profile_csv(read("profiles", args.profiles))
     if args.k < 1 or args.k > max(prof.n_profiled, 1):
         raise ValueError(
             f"--k must be in 1..{prof.n_profiled} for {prof.n_profiled} profiled nodes"
@@ -114,7 +113,7 @@ def _cmd_cluster(args, read):
 def _cmd_render(args, read):
     if args.k is not None and not args.dendrogram:
         raise ValueError("--k needs --dendrogram: it sets the dendrogram's cut")
-    prof = read_profile_csv(io.StringIO(read("profiles", args.profiles), newline=""))
+    prof = read_profile_csv(read("profiles", args.profiles))
     files = {}
     if args.dendrogram:
         dendro, names = parse_dendrogram(read("dendrogram", args.dendrogram))

@@ -123,12 +123,12 @@ def _count_cell(text: str) -> int:
     return value
 
 
-def read_count_csv(source) -> PositionCountMatrix:
-    """Load a counts CSV produced by PositionCountMatrix.csv_text. Each
+def read_count_csv(text: str) -> PositionCountMatrix:
+    """Load the text of a counts CSV from PositionCountMatrix.csv_text. Each
     instance fills each position of its motif once, so all live positions
     of a motif must sum to the same total."""
     _, names, rows = read_table(
-        source, "counts CSV", [("node",) + catalog.CSV_COLUMNS], _count_cell
+        text, "counts CSV", [("node",) + catalog.CSV_COLUMNS], _count_cell
     )
     counts = np.array(rows, dtype=np.int64).reshape(len(names), catalog.N_MOTIFS, 3)
     dead = counts[:, :, 2][:, ~catalog.LIVE_MASK[:, 2]]

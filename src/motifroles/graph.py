@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -128,17 +128,13 @@ class TemporalGraph:
         return f"TemporalGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 
 
-def parse_edge_list(source) -> TemporalGraph:
-    """Parse a CSV edge list with header source,target,timestamp.
+def parse_edge_list(text: str) -> TemporalGraph:
+    """Parse the text of a CSV edge list with header source,target,timestamp.
 
-    `source` may be a path or an open text stream. Node names are interned
-    in order of first appearance; rows with equal timestamps keep their
-    order in the file.
+    Node names are interned in order of first appearance; rows with equal
+    timestamps keep their order in the text.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return parse_edge_list(fh)
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(text, newline=""))
     names: dict[str, int] = {}
     src, tgt, time = [], [], []
     try:

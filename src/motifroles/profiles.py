@@ -10,6 +10,7 @@ zero) are dropped and reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -98,11 +99,14 @@ def build_positionless(counts: PositionCountMatrix, min_motifs: int = 0) -> Prof
     return _build(counts, min_motifs, counts.counts.sum(axis=2))
 
 
-def read_profile_csv(source) -> ProfileMatrix:
-    """Load a profile CSV; the header sets the width, and so the kind."""
+def read_profile_csv(text: str) -> ProfileMatrix:
+    """Load the text of a profile CSV; the header sets the width, and so
+    the kind."""
+    if isinstance(text, Path):  # bench/checks.py passes the path of profiles.csv
+        text = text.read_bytes().decode("utf-8-sig")
     positioned = ("node",) + catalog.CSV_COLUMNS
     header, names, rows = read_table(
-        source, "profile CSV", [positioned, ("node",) + catalog.MOTIF_COLUMNS], float
+        text, "profile CSV", [positioned, ("node",) + catalog.MOTIF_COLUMNS], float
     )
     vectors = np.array(rows, dtype=np.float64).reshape(len(names), len(header) - 1)
     if header == positioned:

@@ -2,8 +2,8 @@
 
 A table is UTF-8 text with a header row, "\\n" line ends and minimal
 quoting, so a cell holding a comma, a quote or a line break round-trips.
-A reader given a path skips a leading UTF-8 byte-order mark; for the
-text of a file, `cli.main` strips the mark itself.
+A reader takes text: `cli.main` reads and decodes each file, and strips a
+leading byte-order mark.
 A node-keyed table holds a node name in column 0 and one value in each
 other column. Its values repeat heavily, so it is written and read by
 distinct value: each one is formatted or converted once.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -61,8 +60,8 @@ def node_table_text(header, names, values: np.ndarray) -> str:
     return "".join(lines)
 
 
-def read_table(source, what: str, headers, cell):
-    """Read a node-keyed table from a path or an open text stream.
+def read_table(text: str, what: str, headers, cell):
+    """Read a node-keyed table from its text.
 
     The header must be one of `headers`, every row as wide as the header,
     and no node name may repeat; `cell` converts every cell after the
@@ -71,10 +70,7 @@ def read_table(source, what: str, headers, cell):
     error is a ValueError reading "{what}: row N: ..." for the first
     faulty row in file order.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return read_table(fh, what, headers, cell)
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(text, newline=""))
     names: dict[str, None] = {}  # insertion-ordered set
     rows = []  # the raw cells after each name
     ends = []  # the reader's line number after each row

@@ -62,8 +62,7 @@ def test_count_toy(tmp_path, toy_csv, capsys, toy_counts):
     printed = capsys.readouterr().out
     assert "counted 4 motif instances" in printed
     assert "r1" in printed and "c1" in printed
-    with open(out / "counts.csv", newline="") as fh:
-        back = read_count_csv(fh)
+    back = read_count_csv((out / "counts.csv").read_text(encoding="utf-8"))
     assert np.array_equal(back.counts, toy_counts.counts)
     totals = (out / "motif_totals.csv").read_text()
     assert "M33,1" in totals
@@ -541,8 +540,7 @@ def test_scc_flag_restricts_counts(tmp_path, toy_csv, capsys):
     assert "counted 1 motif instances" in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["scc_nodes"] == ["A", "B"]
-    with open(out / "counts.csv", newline="") as fh:
-        counts = read_count_csv(fh)
+    counts = read_count_csv((out / "counts.csv").read_text(encoding="utf-8"))
     assert counts.node_names == ("A", "B")
     assert counts.total_instances() == 1
 
@@ -633,8 +631,7 @@ def test_simulate_writes_edges_and_labels(tmp_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", "2", "--seed", "11",
                  "--out", str(out)]) == 0
-    with open(out / "edges.csv", newline="") as fh:
-        g = parse_edge_list(fh)
+    g = parse_edge_list((out / "edges.csv").read_text(encoding="utf-8"))
     assert g.n_edges > 50
     labels = (out / "labels.csv").read_text().strip().splitlines()
     assert labels[0] == "node,block"

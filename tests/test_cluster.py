@@ -1,4 +1,3 @@
-import io
 import itertools
 import re
 import sys
@@ -427,7 +426,7 @@ def test_bool_integer_and_whole_float_labels_are_accepted():
     assert permutation_accuracy(np.array([5, 5, 9, 9], dtype=np.uint8), truth) == 1.0
     assert permutation_accuracy([0.0, 1.0, 1.0, 1.0], truth) == 0.75
     text = labels_csv_text(["a", "b"], np.array([True, False]), "cluster")
-    assert read_table(io.StringIO(text), "labels CSV", [("node", "cluster")], int)[2] == [
+    assert read_table(text, "labels CSV", [("node", "cluster")], int)[2] == [
         [1], [0]]
 
 
@@ -620,11 +619,9 @@ def test_parse_dendrogram_refuses_a_record_out_of_order(text, lineno, line):
         parse_dendrogram(text)
 
 
-def test_labels_csv_round_trip(tmp_path):
-    path = tmp_path / "clusters.csv"
-    path.write_text(labels_csv_text(("A", "B", "C"), np.array([0, 1, 0]), "cluster"),
-                    encoding="utf-8")
-    _, names, rows = read_table(path, "labels CSV", [("node", "cluster")], int)
+def test_labels_csv_round_trip():
+    text = labels_csv_text(("A", "B", "C"), np.array([0, 1, 0]), "cluster")
+    _, names, rows = read_table(text, "labels CSV", [("node", "cluster")], int)
     assert names == ("A", "B", "C")
     assert rows == [[0], [1], [0]]
 

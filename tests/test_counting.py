@@ -254,7 +254,7 @@ def test_counts_csv_rows_follow_a_renamed_and_reordered_edge_file(seed):
 
     def counts_rows(rows):
         text = table_text(EDGE_LIST_HEADER, rows)
-        counts = count_motifs(parse_edge_list(io.StringIO(text, newline="")), delta)
+        counts = count_motifs(parse_edge_list(text), delta)
         header, *body = csv.reader(io.StringIO(counts.csv_text(), newline=""))
         return header, {row[0]: row[1:] for row in body}
 
@@ -344,7 +344,7 @@ def test_per_motif_accounting(seed):
 
 def test_csv_round_trip(toy_counts):
     text = toy_counts.csv_text()
-    back = read_count_csv(io.StringIO(text))
+    back = read_count_csv(text)
     assert back.node_names == toy_counts.node_names
     assert np.array_equal(back.counts, toy_counts.counts)
     assert np.array_equal(back.motif_totals, toy_counts.motif_totals)
@@ -357,34 +357,33 @@ def test_csv_round_trip(toy_counts):
 def test_csv_write_and_read_files(tmp_path, toy_counts):
     p = tmp_path / "counts.csv"
     p.write_text(toy_counts.csv_text(), encoding="utf-8")
-    with open(p, newline="") as fh:
-        back = read_count_csv(fh)
+    back = read_count_csv(p.read_text(encoding="utf-8"))
     assert np.array_equal(back.counts, toy_counts.counts)
 
 
 def test_read_count_csv_rejects_bad_input(toy_counts):
     good = toy_counts.csv_text().splitlines()
     with pytest.raises(ValueError):
-        read_count_csv(io.StringIO("node,M11_p1\nA,1\n"))
+        read_count_csv("node,M11_p1\nA,1\n")
     # nonzero value in a dead two-node position-3 column
     cols = good[0].split(",")
     dead = cols.index("M51_p3")
     row = good[1].split(",")
     row[dead] = "1"
     with pytest.raises(ValueError, match="two-node"):
-        read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
+        read_count_csv(good[0] + "\n" + ",".join(row) + "\n")
     row = good[1].split(",")
     row[1] = "-2"
     with pytest.raises(ValueError):
-        read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
+        read_count_csv(good[0] + "\n" + ",".join(row) + "\n")
     row = good[1].split(",")
     row[1] = "0.5"
     with pytest.raises(ValueError):
-        read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
+        read_count_csv(good[0] + "\n" + ",".join(row) + "\n")
     row = good[1].split(",")
     row[1] = str(2**64)  # beyond int64
     with pytest.raises(ValueError, match="counts CSV: row 2: .*too large"):
-        read_count_csv(io.StringIO(good[0] + "\n" + ",".join(row) + "\n"))
+        read_count_csv(good[0] + "\n" + ",".join(row) + "\n")
     # every cell fits in int64 and the three positions of M33 agree, but
     # each node's sum, 3 * 2**62, does not
     cols = good[0].split(",")
@@ -394,7 +393,7 @@ def test_read_count_csv_rejects_bad_input(toy_counts):
     body = "".join(",".join([name] + row[1:]) + "\n" for name in "AB")
     with pytest.raises(ValueError, match="counts CSV: a node's or a motif's sum is too "
                                          "large for 64 bits"):
-        read_count_csv(io.StringIO(good[0] + "\n" + body))
+        read_count_csv(good[0] + "\n" + body)
 
 
 @pytest.mark.parametrize("cells, instances", [
@@ -410,9 +409,9 @@ def test_read_count_csv_checks_that_a_motifs_positions_agree(cells, instances):
     text = ",".join(header) + "\nA," + ",".join(row) + "\n"
     if instances is None:
         with pytest.raises(ValueError, match="unequal sums"):
-            read_count_csv(io.StringIO(text))
+            read_count_csv(text)
     else:
-        assert read_count_csv(io.StringIO(text)).total_instances() == instances
+        assert read_count_csv(text).total_instances() == instances
 
 
 def test_motif_totals_csv(toy_counts):
@@ -517,7 +516,7 @@ def test_candidates_lie_between_instances_and_window_triples(seed, integer_times
 def test_candidates_are_none_when_not_counted(toy_counts):
     assert toy_counts.candidates == 4
     text = toy_counts.csv_text()
-    loaded = read_count_csv(io.StringIO(text))
+    loaded = read_count_csv(text)
     assert loaded.candidates is None
     assert loaded.candidate_bound is None
 

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from synthdata import random_digraph_arcs, random_temporal_graph
 
 
 def test_parse_toy_network():
-    g = parse_edge_list(io.StringIO(TOY_CSV))
+    g = parse_edge_list(TOY_CSV)
     assert g.n_nodes == 3
     assert g.n_edges == 4
     assert g.named_edges() == [("A", "B", 1.0), ("A", "C", 2.0),
@@ -27,33 +26,33 @@ def test_parse_toy_network():
 
 
 def test_parse_header_only():
-    g = parse_edge_list(io.StringIO("source,target,timestamp\n"))
+    g = parse_edge_list("source,target,timestamp\n")
     assert g.n_nodes == 0
     assert g.n_edges == 0
 
 
 def test_parse_rejects_self_loop_with_line_number():
     with pytest.raises(ValueError, match="line 2"):
-        parse_edge_list(io.StringIO("source,target,timestamp\nA,A,1\n"))
+        parse_edge_list("source,target,timestamp\nA,A,1\n")
 
 
 def test_parse_rejects_bad_timestamp():
     with pytest.raises(ValueError, match="line 3"):
-        parse_edge_list(io.StringIO("source,target,timestamp\nA,B,1\nB,A,xyz\n"))
+        parse_edge_list("source,target,timestamp\nA,B,1\nB,A,xyz\n")
     with pytest.raises(ValueError, match="non-finite"):
-        parse_edge_list(io.StringIO("source,target,timestamp\nA,B,inf\n"))
+        parse_edge_list("source,target,timestamp\nA,B,inf\n")
 
 
 def test_parse_rejects_wrong_field_count():
     with pytest.raises(ValueError, match="line 2"):
-        parse_edge_list(io.StringIO("source,target,timestamp\nA,B\n"))
+        parse_edge_list("source,target,timestamp\nA,B\n")
 
 
 def test_parse_rejects_missing_or_wrong_header():
     with pytest.raises(ValueError, match="line 1"):
-        parse_edge_list(io.StringIO("src,dst,when\nA,B,1\n"))
+        parse_edge_list("src,dst,when\nA,B,1\n")
     with pytest.raises(ValueError, match="line 1"):
-        parse_edge_list(io.StringIO(""))
+        parse_edge_list("")
 
 
 def test_sort_is_stable_on_equal_timestamps():
@@ -83,28 +82,21 @@ def test_graph_validation_errors():
         TemporalGraph(["A", "B"], [0], [1], [float("nan")])
 
 
-def _round_trip(g, path):
-    path.write_text(edge_list_text(g), encoding="utf-8")
-    return parse_edge_list(path)
+def _round_trip(g):
+    return parse_edge_list(edge_list_text(g))
 
 
-def test_round_trip_through_serializer(tmp_path):
+def test_round_trip_through_serializer():
     rng = np.random.default_rng(7)
     for _ in range(25):
         g = random_temporal_graph(rng)
-        assert _round_trip(g, tmp_path / "edges.csv") == g
-    # and through an open stream
-    g = random_temporal_graph(rng)
-    path = tmp_path / "edges.csv"
-    path.write_text(edge_list_text(g), encoding="utf-8")
-    with open(path, newline="") as fh:
-        assert parse_edge_list(fh) == g
+        assert _round_trip(g) == g
 
 
-def test_serializer_keeps_full_precision(tmp_path):
+def test_serializer_keeps_full_precision():
     t = 0.1 + 0.2  # not exactly 0.3
     g = TemporalGraph.from_named_edges([("A", "B", t)])
-    assert _round_trip(g, tmp_path / "edges.csv").time[0] == t
+    assert _round_trip(g).time[0] == t
 
 
 def _arc_graph(n, arcs):
@@ -221,7 +213,7 @@ def test_largest_scc_on_a_long_path_and_cycle(closed):
 
 
 def test_filter_nodes_toy():
-    g = parse_edge_list(io.StringIO(TOY_CSV))
+    g = parse_edge_list(TOY_CSV)
     kept = filter_nodes(g, {g.node_names.index("A"), g.node_names.index("B")})
     assert kept.named_edges() == [("A", "B", 1.0), ("B", "A", 3.0), ("A", "B", 4.0)]
     assert set(kept.node_names) == {"A", "B"}
@@ -245,16 +237,16 @@ def test_filter_nodes_rejects_bad_index():
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_round_trip_property(tmp_path_factory, seed):
+def test_round_trip_property(seed):
     g = random_temporal_graph(np.random.default_rng(seed), max_edges=30)
-    assert _round_trip(g, tmp_path_factory.mktemp("edges") / "edges.csv") == g
+    assert _round_trip(g) == g
 
 
-def test_isolated_nodes_do_not_survive_serialization(tmp_path):
+def test_isolated_nodes_do_not_survive_serialization():
     # the edge-list format has no way to carry a node with no edges
     g = TemporalGraph.from_named_edges([("A", "B", 1.0)], extra_nodes=["Z"])
     assert g.n_nodes == 3
-    assert _round_trip(g, tmp_path / "edges.csv").n_nodes == 2
+    assert _round_trip(g).n_nodes == 2
     # and filter_nodes keeps only nodes that still have edges
     kept = filter_nodes(g, set(range(3)))
     assert set(kept.node_names) == {"A", "B"}
@@ -288,16 +280,16 @@ HEADER = "source,target,timestamp\n"
 )
 def test_parse_error_messages(rows, message):
     with pytest.raises(ValueError) as info:
-        parse_edge_list(io.StringIO(HEADER + rows))
+        parse_edge_list(HEADER + rows)
     assert str(info.value) == message
 
 
 def test_parse_header_messages():
     with pytest.raises(ValueError) as info:
-        parse_edge_list(io.StringIO(""))
+        parse_edge_list("")
     assert str(info.value) == "line 1: missing header"
     with pytest.raises(ValueError) as info:
-        parse_edge_list(io.StringIO("src,dst,when\n"))
+        parse_edge_list("src,dst,when\n")
     assert str(info.value) == "line 1: expected header 'source,target,timestamp'"
 
 
@@ -314,7 +306,7 @@ def test_parse_reports_the_first_fault_of_a_row(row, message):
     # checks run in order: width, empty name, bad and non-finite
     # timestamp, self-loop
     with pytest.raises(ValueError) as info:
-        parse_edge_list(io.StringIO(HEADER + row))
+        parse_edge_list(HEADER + row)
     assert str(info.value) == f"line 2: {message}"
 
 
@@ -322,21 +314,21 @@ def test_parse_line_numbers_count_physical_lines():
     # a quoted name spanning two lines moves every later line number down
     text = HEADER + '"A\nX",B,1\nB,C,2\nC,C,3\n'
     with pytest.raises(ValueError) as info:
-        parse_edge_list(io.StringIO(text))
+        parse_edge_list(text)
     assert str(info.value) == "line 5: self-loop on node 'C'"
-    g = parse_edge_list(io.StringIO(HEADER + '"A\nX",B,1\n'))
+    g = parse_edge_list(HEADER + '"A\nX",B,1\n')
     assert g.node_names == ("A\nX", "B")
 
 
 def test_parse_strips_names_and_timestamps():
     # str.strip removes the separators U+001C..U+001F, which float() refuses
-    g = parse_edge_list(io.StringIO(HEADER + " A , B C ,\t2.5 \nB C,A,\x1c1\x1f\n"))
+    g = parse_edge_list(HEADER + " A , B C ,\t2.5 \nB C,A,\x1c1\x1f\n")
     assert g.node_names == ("A", "B C")
     assert g.named_edges() == [("B C", "A", 1.0), ("A", "B C", 2.5)]
 
 
 def test_parse_interns_names_in_order_of_first_appearance():
-    g = parse_edge_list(io.StringIO(HEADER + "C,A,3\nB,C,1\nA,D,2\n"))
+    g = parse_edge_list(HEADER + "C,A,3\nB,C,1\nA,D,2\n")
     assert g.node_names == ("C", "A", "B", "D")
     assert g.src.tolist() == [2, 1, 0] and g.tgt.tolist() == [0, 3, 1]
 

@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -142,7 +141,7 @@ def test_csv_round_trip(toy_counts):
     for build, width in ((build_positioned, 104), (build_positionless, 36)):
         p = build(toy_counts, min_motifs=0)
         assert p.vectors.shape[1] == width
-        back = read_profile_csv(io.StringIO(p.csv_text()))
+        back = read_profile_csv(p.csv_text())
         assert back.kind == p.kind
         assert back.node_names == p.node_names
         assert np.array_equal(back.vectors, p.vectors)
@@ -166,20 +165,20 @@ def test_read_profile_csv_rejects_bad_input(toy_counts):
     row = lines[1].split(",")
     row[dead] = "0.5"
     with pytest.raises(ValueError):
-        read_profile_csv(io.StringIO(lines[0] + "\n" + ",".join(row) + "\n"))
+        read_profile_csv(lines[0] + "\n" + ",".join(row) + "\n")
     # a row that does not sum to 1
     row = lines[1].split(",")
     live = header.index("M33_p1")
     row[live] = "0.9"
     with pytest.raises(ValueError, match="sum"):
-        read_profile_csv(io.StringIO(lines[0] + "\n" + ",".join(row) + "\n"))
+        read_profile_csv(lines[0] + "\n" + ",".join(row) + "\n")
     # a NaN cell, which only the ProfileMatrix constructor catches
     row = lines[1].split(",")
     row[live] = "nan"
     with pytest.raises(ValueError, match="sum"):
-        read_profile_csv(io.StringIO(lines[0] + "\n" + ",".join(row) + "\n"))
+        read_profile_csv(lines[0] + "\n" + ",".join(row) + "\n")
     with pytest.raises(ValueError):
-        read_profile_csv(io.StringIO("node,bogus\nA,1.0\n"))
+        read_profile_csv("node,bogus\nA,1.0\n")
 
 
 def test_dropped_csv(toy_counts):

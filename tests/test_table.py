@@ -1,4 +1,3 @@
-import io
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ def test_odd_names_round_trip_through_a_file(tmp_path):
     path = tmp_path / "t.csv"
     rows = ((name, i) for i, name in enumerate(ODD_NAMES))
     path.write_text(table_text(("node", "v"), rows), encoding="utf-8")
-    header, names, rows = read_table(path, "t", [("node", "v")], int)
+    text = path.read_bytes().decode("utf-8")
+    header, names, rows = read_table(text, "t", [("node", "v")], int)
     assert header == ("node", "v")
     assert names == tuple(ODD_NAMES)
     assert rows == [[i] for i in range(len(ODD_NAMES))]
@@ -45,20 +45,18 @@ def test_table_text_pins_the_format():
 )
 def test_read_table_errors_name_the_table_and_row(text, message):
     with pytest.raises(ValueError) as err:
-        read_table(io.StringIO(text), "t", [("node", "v")], int)
+        read_table(text, "t", [("node", "v")], int)
     assert str(err.value).startswith(message)
 
 
-def test_node_keyed_readers_reject_a_repeated_node(tmp_path, toy_counts):
-    path = tmp_path / "labels.csv"
-    path.write_text(labels_csv_text(("A", "B", "A"), np.array([0, 1, 0]), "cluster"),
-                    encoding="utf-8")
+def test_node_keyed_readers_reject_a_repeated_node(toy_counts):
+    text = labels_csv_text(("A", "B", "A"), np.array([0, 1, 0]), "cluster")
     with pytest.raises(ValueError, match="labels CSV: row 4: node 'A' repeats"):
-        read_table(path, "labels CSV", [("node", "cluster")], int)
+        read_table(text, "labels CSV", [("node", "cluster")], int)
     lines = toy_counts.csv_text().splitlines(keepends=True)
     text = "".join(lines + lines[2:3])
     with pytest.raises(ValueError, match="counts CSV: row 5: node 'B' repeats"):
-        read_count_csv(io.StringIO(text))
+        read_count_csv(text)
 
 
 EDGE_NAMES = [*ODD_NAMES, "", "\n", "\r"]
@@ -93,7 +91,7 @@ def test_node_table_text_equals_the_generic_writer(table):
     rows = ([name, *row] for name, row in zip(names, values.tolist()))
     assert text == table_text(header, rows)
     cell = float if values.dtype == np.float64 else int
-    _, back_names, back = read_table(io.StringIO(text), "t", [header], cell)
+    _, back_names, back = read_table(text, "t", [header], cell)
     assert back_names == tuple(names)
     back = np.array(back, dtype=values.dtype).reshape(values.shape)
     assert back.tobytes() == values.tobytes()  # -0.0 reads back as -0.0
