@@ -35,7 +35,7 @@ from .cluster import (
 )
 from .counting import count_motifs, read_count_csv
 from .graph import edge_list_text, filter_nodes, largest_scc, parse_edge_list
-from .hawkes import BlockHawkesParams, scenario_delta, scenario_params, simulate
+from .hawkes import SCENARIO_DELTAS, BlockHawkesParams, scenario_params, simulate
 from .profiles import build_positioned, build_positionless, read_profile_csv
 from .render import dendrogram_svg, heatmap_svg
 
@@ -191,7 +191,7 @@ def _cmd_eval(args, read):
     if delta is None:
         if args.scenario is None:
             raise ValueError("--delta is required with --params")
-        delta = scenario_delta(args.scenario)
+        delta = SCENARIO_DELTAS[args.scenario]
     seeds = range(args.seed, args.seed + args.runs)
     summary = evaluate_scenario(
         params, delta, seeds, k=args.k, min_motifs=args.min_motifs

@@ -446,9 +446,3 @@ def scenario_params(which: int) -> BlockHawkesParams:
         raise ValueError(f"unknown scenario {which!r}; defined scenarios are 1 and 2")
     params.validate()
     return params
-
-
-def scenario_delta(which: int) -> float:
-    if which not in SCENARIO_DELTAS:
-        raise ValueError(f"unknown scenario {which!r}; defined scenarios are 1 and 2")
-    return SCENARIO_DELTAS[which]

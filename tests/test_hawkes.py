@@ -19,9 +19,7 @@ from motifroles.hawkes import (
     EXCITATION_KINDS,
     BlockHawkesParams,
     Excitation,
-    SCENARIO_DELTAS,
     intensity,
-    scenario_delta,
     scenario_params,
     simulate,
 )
@@ -405,12 +403,6 @@ class TestScenarios:
         assert {"shared-receiver", "broadcast"} <= kinds2
         with pytest.raises(ValueError):
             scenario_params(3)
-
-    def test_scenario_deltas(self):
-        assert scenario_delta(1) == SCENARIO_DELTAS[1]
-        assert scenario_delta(2) == SCENARIO_DELTAS[2]
-        with pytest.raises(ValueError):
-            scenario_delta(9)
 
     def test_reciprocation_shows_up_in_scenario_1(self):
         # the motif texture itself is asserted in the acceptance suite;
