@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ import pytest
 from motifroles.catalog import MotifId
 from motifroles.counting import count_motifs
 from motifroles.graph import TemporalGraph
+
+# synthdata builds its mid-scale network with the benchmark's generator
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 # Four-edge worked example used throughout: A messages B, A messages C,
 # B replies to A, A messages B again. With a window covering the whole

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import workloads
 from motifroles.graph import TemporalGraph
 
 
@@ -38,20 +39,11 @@ def random_digraph_arcs(rng, max_nodes=12):
 
 
 def mid_scale_network(seed=0, n_nodes=156, n_edges=5000, horizon=3650.0):
-    """Stand-in for a country-level dispute network: bursty multi-party
-    episodes with heavy-tailed participation, daily timestamp resolution.
-    Episode structure makes short windows motif-rich, like incident data."""
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    weights = 1.0 / np.arange(1, n_nodes + 1) ** 0.8
-    weights /= weights.sum()
-    names = [f"c{i:03d}" for i in range(n_nodes)]
-    edges: list[tuple[str, str, float]] = []
-    while len(edges) < n_edges:
-        k = int(rng.integers(2, 5))
-        party = rng.choice(n_nodes, size=k, replace=False, p=weights)
-        start = rng.uniform(0.0, horizon - 10.0)
-        for _ in range(int(rng.integers(3, 11))):
-            u, v = rng.choice(k, size=2, replace=False)
-            t = np.floor(start + rng.uniform(0.0, 10.0))
-            edges.append((names[party[u]], names[party[v]], float(t)))
-    return TemporalGraph.from_named_edges(edges[:n_edges], extra_nodes=names)
+    """Stand-in for a country-level dispute network: the benchmark's bursty
+    multi-party episodes with heavy-tailed participation, daily timestamp
+    resolution. Episode structure makes short windows motif-rich, like
+    incident data."""
+    net = workloads.Network(n_nodes=n_nodes, n_edges=n_edges, horizon=horizon)
+    names = workloads.node_names(net)
+    edges = [(names[u], names[v], t) for u, v, t in workloads.generate_edges(net, seed)]
+    return TemporalGraph.from_named_edges(edges, extra_nodes=names)
