@@ -26,17 +26,21 @@ class ProfileMatrix:
     dropped: tuple[tuple[str, int], ...] = ()  # (name, total) for filtered nodes
 
     def __post_init__(self):
-        shape = self.vectors.shape
+        # a read-only copy of its own; np.array keeps the caller's memory
+        # layout, which Ward's heights depend on
+        vectors = np.array(self.vectors)
+        shape = vectors.shape
         if (len(shape) != 2 or shape[0] != len(self.node_names)
                 or shape[1] not in (catalog.N_POSITIONED_CELLS, catalog.N_MOTIFS)):
             raise ValueError(f"bad vectors shape {shape}")
-        if np.any(self.vectors < 0.0):
+        if np.any(vectors < 0.0):
             raise ValueError("profile entries must be non-negative")
         if self.n_profiled and not np.allclose(
-            self.vectors.sum(axis=1), 1.0, rtol=0.0, atol=1e-9
+            vectors.sum(axis=1), 1.0, rtol=0.0, atol=1e-9
         ):
             raise ValueError("every profile must sum to 1")
-        self.vectors.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def kind(self) -> str:

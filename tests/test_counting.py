@@ -428,6 +428,16 @@ def test_count_matrix_validation():
         PositionCountMatrix(("A",), np.zeros((2, 36, 3), dtype=np.int64))
 
 
+def test_count_matrix_freezes_a_copy_of_its_own_in_the_callers_layout():
+    # the caller's array was once made read-only in place
+    c = np.asfortranarray(np.zeros((2, 36, 3), dtype=np.int64))
+    counts = PositionCountMatrix(("a", "b"), c)
+    assert c.flags.writeable and not counts.counts.flags.writeable
+    assert counts.counts.flags.f_contiguous and not counts.counts.flags.c_contiguous
+    c[0, 0, 0] = 1
+    assert counts.counts[0, 0, 0] == 0
+
+
 def _assert_matches_oracle(g, delta):
     for policy in ("seq-order", "exclude-ties"):
         fast = count_motifs(g, delta, tie_policy=policy)

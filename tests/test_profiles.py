@@ -207,3 +207,17 @@ def test_profile_matrix_validation():
                 np.full(36, 1 / 36)):
         with pytest.raises(ValueError, match="bad vectors shape"):
             ProfileMatrix(("A",), bad)
+
+
+def test_profile_matrix_freezes_a_copy_of_its_own_in_the_callers_layout():
+    # the caller's array was once made read-only in place
+    v = np.full((1, 104), 1 / 104)
+    prof = ProfileMatrix(("A",), v)
+    assert v.flags.writeable and not prof.vectors.flags.writeable
+    v[0, :2] = (2 / 104, 0.0)
+    assert prof.vectors[0, 0] == 1 / 104
+    # a Fortran-ordered input, as read_profile_csv gives, stays so
+    f = np.asfortranarray(np.full((2, 36), 1 / 36))
+    prof = ProfileMatrix(("A", "B"), f)
+    assert f.flags.writeable and not prof.vectors.flags.writeable
+    assert prof.vectors.flags.f_contiguous and not prof.vectors.flags.c_contiguous
