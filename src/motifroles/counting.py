@@ -79,11 +79,10 @@ class PositionCountMatrix:
     candidate_bound: int | None = None
 
     def __post_init__(self):
-        counts = np.array(self.counts)  # a read-only copy of its own
-        if counts.shape != (len(self.node_names), catalog.N_MOTIFS, 3):
-            raise ValueError(f"bad counts shape {counts.shape}")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", np.array(self.counts))  # a copy of its own
+        if self.counts.shape != (len(self.node_names), catalog.N_MOTIFS, 3):
+            raise ValueError(f"bad counts shape {self.counts.shape}")
+        self.counts.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:

@@ -28,19 +28,18 @@ class ProfileMatrix:
     def __post_init__(self):
         # a read-only copy of its own; np.array keeps the caller's memory
         # layout, which Ward's heights depend on
-        vectors = np.array(self.vectors)
-        shape = vectors.shape
+        object.__setattr__(self, "vectors", np.array(self.vectors))
+        shape = self.vectors.shape
         if (len(shape) != 2 or shape[0] != len(self.node_names)
                 or shape[1] not in (catalog.N_POSITIONED_CELLS, catalog.N_MOTIFS)):
             raise ValueError(f"bad vectors shape {shape}")
-        if np.any(vectors < 0.0):
+        if np.any(self.vectors < 0.0):
             raise ValueError("profile entries must be non-negative")
         if self.n_profiled and not np.allclose(
-            vectors.sum(axis=1), 1.0, rtol=0.0, atol=1e-9
+            self.vectors.sum(axis=1), 1.0, rtol=0.0, atol=1e-9
         ):
             raise ValueError("every profile must sum to 1")
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
+        self.vectors.setflags(write=False)
 
     @property
     def kind(self) -> str:
@@ -104,8 +103,7 @@ def build_positionless(counts: PositionCountMatrix, min_motifs: int = 0) -> Prof
 
 
 def read_profile_csv(text: str) -> ProfileMatrix:
-    """Load the text of a profile CSV; the header sets the width, and so
-    the kind."""
+    """Load a profile CSV's text; the header sets the width, and so the kind."""
     if isinstance(text, Path):  # bench/checks.py passes the path of profiles.csv
         text = text.read_bytes().decode("utf-8-sig")
     positioned = ("node",) + catalog.CSV_COLUMNS

@@ -147,6 +147,14 @@ def test_csv_round_trip(toy_counts):
         assert np.array_equal(back.vectors, p.vectors)
 
 
+def test_read_profile_csv_reads_a_path_too(tmp_path, toy_counts):
+    # the benchmark's checks read profiles.csv by path
+    text = build_positioned(toy_counts).csv_text()
+    path = tmp_path / "profiles.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_profile_csv(path).csv_text() == text
+
+
 def test_positioned_csv_has_dead_columns(toy_counts):
     p = build_positioned(toy_counts, min_motifs=0)
     lines = p.csv_text().splitlines()
