@@ -262,8 +262,10 @@ def simulate(params: BlockHawkesParams, seed: int) -> SimulatedNetwork:
     validity of the bound is checked at each candidate. Above
     MAX_SIMULATED_NODES nodes it raises ValueError before it allocates,
     and on a baseline whose total over the ordered pairs is not finite
-    before it draws an event.
+    before it draws an event. A negative seed is refused before seeding.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     params.validate()
     n = params.n_nodes
     if n > MAX_SIMULATED_NODES:

@@ -57,27 +57,6 @@ def toy_counts(toy_graph):
     return count_motifs(toy_graph, TOY_DELTA)
 
 
-# (alpha, beta, horizon, message) for a params file that JSON's Infinity once
-# broke: with alpha 0 the jump alpha * beta was NaN and simulate stopped after
-# one event, with alpha 0.5 it failed in the thinning bound, and an infinite
-# horizon ran until max_events
-NON_FINITE_PARAMS = [
-    (0.0, float("inf"), 50.0, "beta must be positive and finite, got inf"),
-    (0.5, float("inf"), 50.0, "beta must be positive and finite, got inf"),
-    (0.5, 1.0, float("inf"), "horizon must be positive and finite, got inf"),
-]
-
-
-def one_block_params_json(alpha, beta, horizon):
-    """Params text for 6 nodes in one block with one self-excitation."""
-    return json.dumps({
-        "n_nodes": 6, "block_probs": [1.0], "horizon": horizon,
-        "baseline": [[0.05]], "max_events": 1000,
-        "excitations": [{"kind": "self", "block_pair": [0, 0],
-                         "alpha": alpha, "beta": beta}],
-    })
-
-
 def check_manifest(out_dir, command):
     """Manifest lists every output file with its true digest."""
     manifest = json.loads((out_dir / "manifest.json").read_text())

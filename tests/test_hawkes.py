@@ -23,7 +23,6 @@ from motifroles.hawkes import (
     scenario_params,
     simulate,
 )
-from conftest import NON_FINITE_PARAMS, one_block_params_json
 
 
 def one_block_params(mu=0.1, horizon=50.0, excitations=(), n_nodes=2,
@@ -140,6 +139,11 @@ class TestValidation:
                                                  "the ordered pairs is inf"):
                 simulate(p, 0)
 
+    def test_negative_seed_refused_before_seeding(self):
+        # numpy's own message named no input
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            simulate(scenario_params(1), -1)
+
     def test_nan_block_prob_rejected_with_fixed_labels(self):
         # NaN passed both the minimum and the sum check, so simulate ran on
         # the fixed labels and the params went out with a NaN in them
@@ -254,11 +258,40 @@ class TestValidation:
                 f"^{field} must be a JSON number, not {value.__name__}$")):
             BlockHawkesParams.from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("alpha, beta, horizon, message", NON_FINITE_PARAMS)
+    # JSON's Infinity once broke these: with alpha 0 the jump alpha * beta was
+    # NaN and simulate stopped after one event, with alpha 0.5 it failed in the
+    # thinning bound, and an infinite horizon ran until max_events
+    @pytest.mark.parametrize("alpha, beta, horizon, message", [
+        (0.0, float("inf"), 50.0, "beta must be positive and finite, got inf"),
+        (0.5, float("inf"), 50.0, "beta must be positive and finite, got inf"),
+        (0.5, 1.0, float("inf"), "horizon must be positive and finite, got inf"),
+    ])
     def test_from_json_refuses_an_infinite_beta_or_horizon(self, alpha, beta, horizon,
                                                            message):
+        text = json.dumps({
+            "n_nodes": 6, "block_probs": [1.0], "horizon": horizon,
+            "baseline": [[0.05]], "max_events": 1000,
+            "excitations": [{"kind": "self", "block_pair": [0, 0],
+                             "alpha": alpha, "beta": beta}],
+        })
         with pytest.raises(ValueError, match=f"^{message}$"):
-            BlockHawkesParams.from_json(one_block_params_json(alpha, beta, horizon))
+            BlockHawkesParams.from_json(text)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", float("nan"), "alpha must be non-negative"),
+        ("block_probs", [float("nan"), 1.0], "block_probs must be non-negative"),
+    ])
+    def test_from_json_refuses_a_nan_alpha_or_block_prob(self, field, value, message):
+        # a NaN alpha once ended in "thinning bound violated", and a NaN block
+        # probability with fixed labels simulated and emitted NaN
+        payload = json.loads(scenario_params(1).to_json())
+        payload["block_assignment"] = [i % 2 for i in range(payload["n_nodes"])]
+        if field == "alpha":
+            payload["excitations"][0]["alpha"] = value
+        else:
+            payload["block_probs"] = value
+        with pytest.raises(ValueError, match=message):
+            BlockHawkesParams.from_json(json.dumps(payload))
 
     def test_from_json_reads_only_a_missing_or_null_assignment_as_absent(self):
         payload = json.loads(scenario_params(1).to_json())
