@@ -347,6 +347,8 @@ def count_motifs(
     """
     delta = _check_delta(delta)
     tie_policy = _check_tie_policy(tie_policy)
+    if max_candidates is not None and max_candidates < 0:
+        raise ValueError(f"max_candidates must be non-negative, got {max_candidates}")
     index = _incidence(g, _window_ends(g.time, delta))
     # Python ints, so no input size overflows the sum
     bound = int(_pair_weights(index[2]).sum(dtype=object))

@@ -117,6 +117,8 @@ class BlockHawkesParams:
     def validate(self) -> None:
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
+        if self.max_events < 0:
+            raise ValueError(f"max_events must be non-negative, got {self.max_events}")
         if not 0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         probs = np.asarray(self.block_probs, dtype=np.float64)
@@ -207,6 +209,7 @@ class SimulatedNetwork:
     candidates: int = 0  # thinning candidates inside the horizon, accepted or not
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", np.array(self.labels))  # a copy of its own
         self.labels.setflags(write=False)
 
 

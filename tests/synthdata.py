@@ -27,17 +27,6 @@ def random_temporal_graph(rng, max_nodes=15, max_edges=60, integer_times=False):
     return TemporalGraph.from_named_edges(edges)
 
 
-def random_digraph_arcs(rng, max_nodes=12):
-    n = int(rng.integers(1, max_nodes + 1))
-    density = rng.uniform(0.05, 0.5)
-    arcs = set()
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < density:
-                arcs.add((u, v))
-    return n, arcs
-
-
 def mid_scale_network(seed=0, n_nodes=156, n_edges=5000, horizon=3650.0):
     """Stand-in for a country-level dispute network: the benchmark's bursty
     multi-party episodes with heavy-tailed participation, daily timestamp

@@ -261,6 +261,9 @@ def test_render_rejects_mismatched_dendrogram(tmp_path, toy_csv, capsys):
 USAGE_ERRORS = {
     "count-delta-0": (["count", "--input", "{edges}", "--delta", "0"],
                       "delta must be a positive finite number"),
+    "count-max-candidates-negative": (
+        ["count", "--input", "{edges}", "--delta", "10", "--max-candidates", "-1"],
+        "max_candidates must be non-negative, got -1"),
     "profile-min-motifs-negative": (
         ["profile", "--counts", "{counts}", "--min-motifs", "-1"],
         "min_motifs must be non-negative"),

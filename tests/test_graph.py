@@ -13,7 +13,7 @@ from motifroles.graph import (
     parse_edge_list,
 )
 from conftest import TOY_CSV
-from synthdata import random_digraph_arcs, random_temporal_graph
+from synthdata import random_temporal_graph
 
 
 def test_parse_toy_network():
@@ -120,40 +120,6 @@ def test_largest_scc_counts_parallel_edges_once():
         [("A", "B", float(t)) for t in range(256)] + [("B", "A", 300.0), ("B", "C", 301.0)]
     )
     assert {g.node_names[i] for i in largest_scc(g)} == {"A", "B"}
-
-
-def _reachable(n, arcs, start):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        for (a, b) in arcs:
-            if a == u and b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return seen
-
-
-def _scc_oracle(n, arcs):
-    """Mutual-reachability partition, quadratic and obviously correct."""
-    reach = [_reachable(n, arcs, u) for u in range(n)]
-    comps = []
-    assigned = set()
-    for u in range(n):
-        if u in assigned:
-            continue
-        comp = {v for v in range(n) if v in reach[u] and u in reach[v]}
-        comps.append(frozenset(comp))
-        assigned |= comp
-    return set(comps)
-
-
-def test_scc_matches_reachability_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        n, arcs = random_digraph_arcs(rng, max_nodes=12)
-        want = min(_scc_oracle(n, arcs), key=lambda c: (-len(c), min(c)))
-        assert largest_scc(_arc_graph(n, arcs)) == want
 
 
 def test_largest_scc_tie_break_smallest_min_index():
